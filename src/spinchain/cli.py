@@ -31,7 +31,7 @@ def _round_floats(obj):
 
 def _emit(payload: dict, output: str, table_lines) -> None:
     if output == "json":
-        print(json.dumps(_round_floats(payload), sort_keys=True, indent=2))
+        print(json.dumps(_round_floats(payload), sort_keys=True, indent=2, allow_nan=False))
     else:
         for line in table_lines(payload):
             print(line)
@@ -127,12 +127,8 @@ def _cmd_schedule(args) -> int:
         "unitarity_residual": dense.unitarity_residual(u),
         "member": membership.member,
         "membership_residual": membership.residual,
+        "rotation": dense.rotation_json_dict(membership.rotation) if membership.member else None,
     }
-    if membership.member:
-        r = dense.adjoint_rotation(u, schedule.n, tol=args.tolerance)
-        payload["rotation"] = dense.rotation_json_dict(r)
-    else:
-        payload["rotation"] = None
 
     def table(p):
         lines = [

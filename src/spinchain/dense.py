@@ -1,12 +1,12 @@
 """Dense 2^n x 2^n realization: matrices, pulses, schedules, rotations.
 
 Everything here is plain numpy.  Unitaries produced from pulse schedules
-can be read back as rotations of a (2n+1)-dimensional sphere: conjugating
-each rotation-frame word by U and collecting trace overlaps yields a real
-matrix R with U g_a U+ = sum_b R[b][a] g_b whenever U lies in the group
-generated by buses I and II.  Membership in that group is decided a
-posteriori by checking that the conjugated frame words stay inside the
-frame's span and that R is special orthogonal.
+can be read back as rotations of a (2n+1)-dimensional sphere: one Pauli
+transform per conjugated frame word gives a column of the real matrix R
+with U g_a U+ = sum_b R[b][a] g_b and the word's leak out of the frame's
+span.  Membership in the group generated by buses I and II is decided a
+posteriori from that readout: the leak must vanish and R must be special
+orthogonal.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -32,6 +32,8 @@ _SIGMA = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+# Row p maps a qubit's (row bit, column bit) block to trace(sigma_p @ block) / 2.
+_PAULI_TRANSFORM = np.array([s.T.reshape(4) for s in _SIGMA.values()]) / 2
 
 
 class ResourceLimitError(ValueError):
@@ -59,19 +61,29 @@ def to_matrix(op: Union[str, PauliString, PauliSum], n: int | None = None) -> np
     if isinstance(op, str):
         op = PauliString(op)
     if isinstance(op, PauliString):
-        if n is not None and n != op.n:
-            raise ValueError(f"operator acts on {op.n} qubits, got n={n}")
-        _check_n(op.n, N_MAX_MATRIX)
-        return op.phase * _word_matrix(op.letters)
-    if isinstance(op, PauliSum):
-        if n is not None and n != op.n:
-            raise ValueError(f"operator acts on {op.n} qubits, got n={n}")
-        _check_n(op.n, N_MAX_MATRIX)
-        out = np.zeros((2**op.n, 2**op.n), dtype=complex)
-        for w, c in op.items():
-            out += c * _word_matrix(w)
-        return out
-    raise TypeError(f"cannot build a matrix from {type(op).__name__}")
+        op = PauliSum.from_pauli(op)
+    if not isinstance(op, PauliSum):
+        raise TypeError(f"cannot build a matrix from {type(op).__name__}")
+    if n is not None and n != op.n:
+        raise ValueError(f"operator acts on {op.n} qubits, got n={n}")
+    _check_n(op.n, N_MAX_MATRIX)
+    out = np.zeros((2**op.n, 2**op.n), dtype=complex)
+    for w, c in op.items():
+        out += c * _word_matrix(w)
+    return out
+
+
+def _pauli_coefficients(mat: np.ndarray, n: int) -> np.ndarray:
+    """trace(W @ mat) / 2^n for all 4^n words W in lexicographic order.
+
+    One 4x4 transform per qubit on its (row bit, column bit) pair, O(n 4^n)
+    in all (Hantzko, Binkowski & Gupta, arXiv:2310.13421).
+    """
+    interleaved = [axis for k in range(n) for axis in (k, n + k)]
+    x = mat.reshape((2,) * (2 * n)).transpose(interleaved).reshape(-1)
+    for k in range(n):
+        x = np.matmul(_PAULI_TRANSFORM, x.reshape(4**k, 4, -1))
+    return x.reshape(-1)
 
 
 def pauli_decompose(mat: np.ndarray) -> PauliSum:
@@ -88,12 +100,8 @@ def pauli_decompose(mat: np.ndarray) -> PauliSum:
     if side != 2**n or n < 1:
         raise ValueError(f"side {side} is not a power of two (>= 2)")
     _check_n(n, N_MAX_PIPELINE)
-    terms = {}
-    for letters in itertools.product("IXYZ", repeat=n):
-        w = "".join(letters)
-        c = complex(np.einsum("ij,ji->", _word_matrix(w), mat)) / side
-        terms[w] = c
-    return PauliSum(n, terms)
+    words = ("".join(letters) for letters in itertools.product("IXYZ", repeat=n))
+    return PauliSum(n, zip(words, _pauli_coefficients(mat, n).tolist()))
 
 
 PulseGenerator = Union[GeneratorRef, PauliString, PauliSum, str]
@@ -150,9 +158,11 @@ class PulseSchedule:
     pulses: tuple[tuple[GeneratorRef, float], ...]
 
     def __post_init__(self):
-        for ref, _ in self.pulses:
+        for index, (ref, theta) in enumerate(self.pulses):
             if ref.n != self.n:
                 raise ValueError(f"pulse generator is for n={ref.n}, schedule has n={self.n}")
+            if not np.isfinite(theta):
+                raise ValueError(f"pulse {index} has a non-finite angle {theta!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -163,7 +173,9 @@ class PulseSchedule:
     @classmethod
     def from_json_dict(cls, payload) -> "PulseSchedule":
         try:
-            n = int(payload["n"])
+            n = payload["n"]
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise ValueError(f"schedule n must be an integer, got {n!r}")
             pulses = tuple(
                 (parse_generator(str(p["gen"]), n), float(p["theta"]))
                 for p in payload["pulses"]
@@ -190,6 +202,8 @@ def random_schedule(
     n: int, bus_ids: Sequence[str], length: int, seed: int
 ) -> PulseSchedule:
     """Seeded uniform schedule over the members of the given buses."""
+    if length < 0:
+        raise ValueError(f"schedule length must be non-negative, got {length}")
     refs = [ref for bus_id in bus_ids for ref in build_bus(n, bus_id).members]
     if not refs:
         raise ValueError("no generators to draw from")
@@ -207,6 +221,31 @@ def unitarity_residual(u: np.ndarray) -> float:
     return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
 
 
+def _frame_readout(u: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, float]:
+    """Rotation R and out-of-span leak of conjugation by U.
+
+    Column a of R holds the frame coefficients of U g_a U+, and the leak
+    is the largest coefficient on any other word.  Frame words are read
+    one at a time to keep only a few 2^n x 2^n arrays alive.
+    """
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError("tolerance must be positive")
+    u = np.asarray(u, dtype=complex)
+    _check_n(n, N_MAX_PIPELINE)
+    if not unitarity_residual(u) <= tol:
+        raise ValueError("input matrix is not unitary within tolerance")
+    frame_words = [g.letters for g in gamma_frame(n)]
+    index = [int(w.translate(str.maketrans("IXYZ", "0123")), 4) for w in frame_words]
+    r = np.empty((len(frame_words), len(frame_words)))
+    leak = 0.0
+    for a, w in enumerate(frame_words):
+        coeffs = _pauli_coefficients(u @ _word_matrix(w) @ u.conj().T, n)
+        r[:, a] = coeffs[index].real
+        coeffs[index] = 0
+        leak = max(leak, float(np.max(np.abs(coeffs))))
+    return r, leak
+
+
 def adjoint_rotation(u: np.ndarray, n: int, tol: float = 1e-8) -> np.ndarray:
     """Extract the (2n+1) x (2n+1) rotation induced by conjugation.
 
@@ -215,20 +254,7 @@ def adjoint_rotation(u: np.ndarray, n: int, tol: float = 1e-8) -> np.ndarray:
     frame stays in the frame's span.  Out-of-span components are simply
     not seen here; use so_membership to check for them.
     """
-    u = np.asarray(u, dtype=complex)
-    _check_n(n, N_MAX_PIPELINE)
-    if unitarity_residual(u) > tol:
-        raise ValueError("input matrix is not unitary within tolerance")
-    frame = [_word_matrix(g.letters) for g in gamma_frame(n)]
-    dim = 2**n
-    size = 2 * n + 1
-    r = np.empty((size, size))
-    udag = u.conj().T
-    for a in range(size):
-        conj = u @ frame[a] @ udag
-        for b in range(size):
-            r[b, a] = np.real(np.einsum("ij,ji->", frame[b], conj)) / dim
-    return r
+    return _frame_readout(u, n, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -236,11 +262,13 @@ class MembershipResult:
     """Verdict of the rotation-group membership test.
 
     residual is the largest Pauli coefficient of any conjugated frame
-    word that falls outside the frame's span.
+    word that falls outside the frame's span.  rotation is the R that
+    adjoint_rotation returns for the same U, a rotation only for members.
     """
 
     member: bool
     residual: float
+    rotation: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def so_membership(u: np.ndarray, n: int, tol: float = 1e-8) -> MembershipResult:
@@ -250,28 +278,11 @@ def so_membership(u: np.ndarray, n: int, tol: float = 1e-8) -> MembershipResult:
     the frame words alone and the collected coefficient matrix R is
     orthogonal with determinant +1 within tol.
     """
-    u = np.asarray(u, dtype=complex)
-    _check_n(n, N_MAX_PIPELINE)
-    if unitarity_residual(u) > tol:
-        raise ValueError("input matrix is not unitary within tolerance")
-    frame_words = [g.letters for g in gamma_frame(n)]
-    index = {w: i for i, w in enumerate(frame_words)}
-    size = 2 * n + 1
-    r = np.zeros((size, size))
-    residual = 0.0
-    udag = u.conj().T
-    for a, w in enumerate(frame_words):
-        conj = u @ _word_matrix(w) @ udag
-        for word, c in pauli_decompose(conj).items():
-            b = index.get(word)
-            if b is None:
-                residual = max(residual, abs(c))
-            else:
-                r[b, a] = c.real
-    ortho = float(np.max(np.abs(r.T @ r - np.eye(size))))
+    r, leak = _frame_readout(u, n, tol)
+    ortho = float(np.max(np.abs(r.T @ r - np.eye(r.shape[0]))))
     det_dev = abs(float(np.linalg.det(r)) - 1.0)
-    member = residual <= tol and ortho <= tol and det_dev <= tol
-    return MembershipResult(member=member, residual=residual)
+    member = leak <= tol and ortho <= tol and det_dev <= tol
+    return MembershipResult(member=member, residual=leak, rotation=r)
 
 
 def rotation_json_dict(r: np.ndarray) -> dict:

@@ -84,3 +84,42 @@ def dense_lie_rank(mats, tol=1e-9):
                 add(1j * (basis[i] @ basis[j] - basis[j] @ basis[i]))
         processed = end
     return len(basis)
+
+
+def word_basis(n):
+    """{word: dense matrix} for all 4^n words, in lexicographic order."""
+    return {w: kron_word(w) for w in all_words(n)}
+
+
+def pauli_coefficients(mat, basis=None):
+    """{word: trace(W @ mat) / 2^n} over all 4^n words, one Kronecker matrix each.
+
+    Pass basis=word_basis(n) to reuse the word matrices across calls.
+    """
+    side = mat.shape[0]
+    if basis is None:
+        basis = word_basis(side.bit_length() - 1)
+    return {w: complex(np.einsum("ij,ji->", m, mat)) / side for w, m in basis.items()}
+
+
+def frame_readout(u, frame_words):
+    """Rotation R and out-of-span leak of conjugation by u over a word frame.
+
+    R[b][a] = Re trace(g_b u g_a u+) / 2^n by trace overlaps; the leak
+    is the largest coefficient, from a full per-word decomposition, of
+    any conjugated frame word on a word outside the frame.
+    """
+    dim = u.shape[0]
+    basis = word_basis(dim.bit_length() - 1)
+    frame = [basis[w] for w in frame_words]
+    size = len(frame)
+    r = np.empty((size, size))
+    leak = 0.0
+    for a, g in enumerate(frame):
+        conj = u @ g @ u.conj().T
+        for b in range(size):
+            r[b, a] = np.real(np.einsum("ij,ji->", frame[b], conj)) / dim
+        for w, c in pauli_coefficients(conj, basis).items():
+            if w not in frame_words:
+                leak = max(leak, abs(c))
+    return r, leak

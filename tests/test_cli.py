@@ -172,6 +172,43 @@ class TestSchedule:
         assert "member=True" in out
 
 
+class TestScheduleInputErrors:
+    @pytest.mark.parametrize("theta", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_angle_exits_two(self, capsys, tmp_path, theta):
+        path = tmp_path / "nonfinite.json"
+        path.write_text('{"n": 2, "pulses": [{"gen": "e0", "theta": %s}]}' % theta)
+        code, out, err = run_cli(capsys, "schedule", str(path))
+        assert code == 2
+        assert out == ""
+        assert "pulse 0" in err
+
+    def test_non_integer_n_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps({"n": 2.7, "pulses": [{"gen": "e0", "theta": 0.3}]}))
+        code, out, err = run_cli(capsys, "schedule", str(path))
+        assert code == 2
+        assert out == ""
+        assert "integer" in err
+
+    def test_negative_random_count_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "schedule", "--random", "-5", "--bus", "I,II", "--n", "2", "--seed", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "non-negative" in err
+
+    @pytest.mark.parametrize("tolerance", ["-1", "0", "nan"])
+    def test_non_positive_tolerance_exits_two(self, capsys, tolerance):
+        code, out, err = run_cli(
+            capsys, "schedule", "--random", "3", "--n", "2", "--bus", "I", "--seed", "1",
+            "--tolerance", tolerance,
+        )
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be positive" in err
+
+
 def test_json_keys_are_sorted(capsys):
     _, out, _ = run_cli(capsys, "gen", "e", "--n", "2", "--k", "0")
     keys = [line.split('"')[1] for line in out.splitlines() if '":' in line]

@@ -4,6 +4,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 from spinchain import (
@@ -26,7 +29,16 @@ from spinchain import (
     unitarity_residual,
 )
 
-from oracles import SIGMA, dense_of_terms, kron_word, random_word
+from spinchain.dense import N_MAX_PIPELINE
+
+from oracles import (
+    SIGMA,
+    dense_of_terms,
+    frame_readout,
+    kron_word,
+    pauli_coefficients,
+    random_word,
+)
 
 
 def random_hermitian_sum(rng, n, nterms):
@@ -300,3 +312,93 @@ def test_rotation_json_shape():
     assert payload["size"] == 3
     assert payload["entries"][0] == [1.0, 0.0, 0.0]
     assert payload["orthogonality_residual"] == 0.0
+
+
+@st.composite
+def square_matrices(draw):
+    side = 2 ** draw(st.integers(1, 4))
+    entries = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+    return draw(hnp.arrays(complex, (side, side), elements=entries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices())
+def test_pauli_decompose_matches_kronecker_oracle(mat):
+    got = pauli_decompose(mat)
+    for word, coeff in pauli_coefficients(mat).items():
+        assert abs(got.coeff(word) - coeff) < 1e-12
+
+
+# Bus III holds the third-order gate, which needs n >= 2.
+SEEDED_READOUT_CASES = [
+    (n, buses) for n in range(1, 6) for buses in ("I,II", "I,II,III") if n > 1 or buses == "I,II"
+]
+
+
+@pytest.mark.parametrize("n,buses", SEEDED_READOUT_CASES)
+def test_readout_matches_oracle_on_seeded_schedules(n, buses):
+    schedule = random_schedule(n, buses.split(","), 20, seed=300 + n)
+    u = run_schedule(schedule)
+    want_r, want_leak = frame_readout(u, [g.letters for g in gamma_frame(n)])
+    r = adjoint_rotation(u, n)
+    result = so_membership(u, n)
+    assert np.max(np.abs(r - want_r)) < 1e-12
+    assert abs(result.residual - want_leak) < 1e-12
+    assert np.array_equal(result.rotation, r)
+    has_third = any(ref.kind == "third" for ref, _ in schedule.pulses)
+    assert result.member is not has_third
+
+
+class TestMembershipAtPipelineLimit:
+    n = N_MAX_PIPELINE
+
+    def test_bus_one_two_schedule_is_member(self):
+        u = run_schedule(random_schedule(self.n, ["I", "II"], 30, seed=8))
+        result = so_membership(u, self.n)
+        assert result.member
+        assert result.residual < 1e-9
+        # U g_a U+ = sum_b R[b][a] g_b, checked densely column by column
+        frame = [kron_word(g.letters) for g in gamma_frame(self.n)]
+        for a, g in enumerate(frame):
+            rebuilt = sum(result.rotation[b, a] * frame[b] for b in range(len(frame)))
+            assert np.max(np.abs(u @ g @ u.conj().T - rebuilt)) < 1e-10
+
+    def test_bus_three_schedule_leaks(self):
+        schedule = random_schedule(self.n, ["I", "II", "III"], 30, seed=8)
+        assert any(ref.kind == "third" for ref, _ in schedule.pulses)
+        result = so_membership(run_schedule(schedule), self.n)
+        assert not result.member
+        assert result.residual > 1e-6
+        # Parseval: each conjugated frame word has unit coefficient norm,
+        # so one leaked coefficient cannot exceed what R misses
+        missing = np.max(1.0 - np.sum(result.rotation**2, axis=0))
+        assert result.residual**2 <= missing + 1e-12
+
+
+class TestReadoutValidation:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        for readout in (so_membership, adjoint_rotation):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                readout(np.eye(4), 2, tol=tol)
+
+    def test_non_finite_matrix_is_not_unitary(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            so_membership(np.full((2, 2), np.nan), 1)
+
+
+class TestScheduleValidation:
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_angle_names_the_pulse(self, theta):
+        ref = GeneratorRef("e", 2, index=0)
+        with pytest.raises(ValueError, match="pulse 1 "):
+            PulseSchedule(n=2, pulses=((ref, 0.1), (ref, theta)))
+
+    def test_negative_random_length_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            random_schedule(2, ["I"], -5, seed=0)
+
+    @pytest.mark.parametrize("n", [2.7, 2.0, "2", True])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            PulseSchedule.from_json_dict({"n": n, "pulses": []})
