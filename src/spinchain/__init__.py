@@ -13,6 +13,7 @@ from .pauli import (
     PauliParseError,
     PauliString,
     PauliWord,
+    ResourceLimitError,
     commutator,
     parse_pauli,
 )
@@ -47,7 +48,6 @@ from .closure import (
 from .dense import (
     MembershipResult,
     PulseSchedule,
-    ResourceLimitError,
     adjoint_rotation,
     exp_pulse,
     pauli_decompose,

@@ -1,6 +1,13 @@
 """Dynamical Lie-algebra closures and dimension-based classification.
 
-Two closure engines share one report type:
+The Lie algebra generated by a set S is spanned by the right-normed
+brackets [s_k, ..., [s_1, s_0]] of its members (Wiersema et al.,
+arXiv:2309.05690), so a span that holds S and is closed under ad_s for
+every s in S is the whole algebra.  Both engines run that one frontier
+loop: the elements found in a round form the next frontier, each is
+bracketed only with the input generators, and the loop ends when a
+round adds nothing, or raises ResourceLimitError once the span outgrows
+MAX_CLOSURE_DIMENSION (4^9 - 1, the universal algebra at n = 9).
 
 - closure_strings works on phase-free Pauli words.  The real span of
   {i*w : w in a word set} is closed under commutation iff the set is
@@ -20,7 +27,9 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .operators import PauliSum
-from .pauli import bits_to_word, validate_words, word_to_bits
+from .pauli import ResourceLimitError, bits_to_word, validate_words, word_to_bits
+
+MAX_CLOSURE_DIMENSION = 4**9 - 1
 
 
 @dataclass(frozen=True)
@@ -29,8 +38,9 @@ class ClosureReport:
 
     basis is the sorted word list in string mode and None in general
     (rank-tracked) mode, where only the dimension is meaningful.
-    rounds counts work-queue sweeps; pairs_processed counts examined
-    candidate pairs, both fully determined by the input set.
+    rounds counts frontier rounds (bracket depth plus the final empty
+    round); pairs_processed counts the (element, generator) brackets
+    examined.  Both are fully determined by the input set.
     """
 
     n: int
@@ -76,12 +86,21 @@ def classify_dimension(n: int, dim: int) -> str:
     return "other"
 
 
+def _check_budget(n: int, size: int) -> None:
+    if size > MAX_CLOSURE_DIMENSION:
+        raise ResourceLimitError(f"closure at n={n} exceeds {MAX_CLOSURE_DIMENSION} elements")
+
+
+def _report(n: int, dim: int, rounds: int, gen_count: int, basis=None) -> ClosureReport:
+    # Every element is bracketed once with every generator.
+    return ClosureReport(n, dim, classify_dimension(n, dim), rounds, dim * gen_count, basis)
+
+
 def closure_strings(n: int, generators: Iterable[str]) -> ClosureReport:
     """Close a set of Pauli words under products of anticommuting pairs.
 
-    Sweeps a lexicographically ordered work queue: each round pairs
-    every frontier word against every current member, inserting the
-    product word for each anticommuting pair.  The identity word is
+    Each frontier word is multiplied by every generator it anticommutes
+    with; unseen products form the next frontier.  The identity word is
     rejected as input (it cannot arise from commutators and would break
     the dimension count).  Output basis is sorted and independent of
     generator order.
@@ -93,37 +112,25 @@ def closure_strings(n: int, generators: Iterable[str]) -> ClosureReport:
     if identity in words:
         raise ValueError("the identity word is not a valid closure generator")
 
-    known: dict[tuple[int, int], str] = {word_to_bits(w): w for w in words}
-    frontier = words
+    gens = [word_to_bits(w) for w in words]
+    known = set(gens)
+    frontier = gens
     rounds = 0
-    pairs = 0
     while frontier:
         rounds += 1
-        members = sorted(known.values())
-        member_bits = [word_to_bits(w) for w in members]
-        new: dict[tuple[int, int], str] = {}
-        for w in frontier:
-            x1, z1 = word_to_bits(w)
-            for (x2, z2), w2 in zip(member_bits, members):
-                if w2 == w:
-                    continue
-                pairs += 1
+        new = []
+        for x1, z1 in frontier:
+            for x2, z2 in gens:
                 if (((x1 & z2) ^ (z1 & x2)).bit_count()) & 1:
                     key = (x1 ^ x2, z1 ^ z2)
-                    if key not in known and key not in new:
-                        new[key] = bits_to_word(*key, n)
-        known.update(new)
-        frontier = sorted(new.values())
+                    if key not in known:
+                        known.add(key)
+                        new.append(key)
+            _check_budget(n, len(known))
+        frontier = new
 
-    basis = tuple(sorted(known.values()))
-    return ClosureReport(
-        n=n,
-        dimension=len(basis),
-        label=classify_dimension(n, len(basis)),
-        rounds=rounds,
-        pairs_processed=pairs,
-        basis=basis,
-    )
+    basis = tuple(sorted(bits_to_word(x, z, n) for x, z in known))
+    return _report(n, len(basis), rounds, len(gens), basis)
 
 
 def _inner(a: PauliSum, b: PauliSum) -> float:
@@ -135,17 +142,18 @@ def _inner(a: PauliSum, b: PauliSum) -> float:
 def closure_general(
     n: int, generators: Sequence[PauliSum], tol: float = 1e-9
 ) -> ClosureReport:
-    """Rank-tracked closure of Hermitian PauliSums under C = i*[A, B].
+    """Rank-tracked closure of Hermitian PauliSums under C = i*[G, V].
 
     Maintains an orthonormal real basis of the span in the word
     coefficient space, projecting each candidate against the basis
     (re-orthogonalized once) and keeping residuals with norm above tol.
-    The identity component of every element is projected out first: the
+    Each new basis vector V is bracketed with every generator G.  The
+    identity component of every element is projected out first: the
     bracket never produces it and keeping it would count the global
     phase direction as a dimension.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < float("inf"):
+        raise ValueError("tol must be positive and finite")
     if not generators:
         raise ValueError("generator set must be nonempty")
     for g in generators:
@@ -158,40 +166,32 @@ def closure_general(
 
     basis: list[PauliSum] = []
 
-    def try_add(candidate: PauliSum) -> bool:
+    def try_add(candidate: PauliSum) -> None:
         v = candidate.traceless()
         for _ in range(2):
             for b in basis:
-                v = v - _inner(v, b) * b
+                c = _inner(v, b)
+                if c:
+                    v = v - c * b
         nrm = v.norm()
         if nrm > tol:
             basis.append((1.0 / nrm) * v)
-            return True
-        return False
 
     for g in generators:
         try_add(g)
 
+    frontier = list(basis)
     rounds = 0
-    pairs = 0
-    processed = 0
-    while processed < len(basis):
+    while frontier:
         rounds += 1
-        end = len(basis)
-        for i in range(end):
-            for j in range(max(i + 1, processed), end):
-                pairs += 1
-                try_add(1j * basis[i].commutator(basis[j]))
-        processed = end
+        start = len(basis)
+        for v in frontier:
+            for g in generators:
+                try_add(1j * g.commutator(v))
+            _check_budget(n, len(basis))
+        frontier = basis[start:]
 
-    return ClosureReport(
-        n=n,
-        dimension=len(basis),
-        label=classify_dimension(n, len(basis)),
-        rounds=rounds,
-        pairs_processed=pairs,
-        basis=None,
-    )
+    return _report(n, len(basis), rounds, len(generators))
 
 
 def check_universality(n: int, generators: Iterable[str]) -> UniversalityResult:

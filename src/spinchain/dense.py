@@ -21,9 +21,8 @@ import numpy as np
 
 from .generators import GeneratorRef, build_bus, gamma_frame, parse_generator
 from .operators import PauliSum
-from .pauli import PauliString
+from .pauli import PauliString, ResourceLimitError
 
-N_MAX_MATRIX = 12
 N_MAX_PIPELINE = 8
 
 _SIGMA = {
@@ -36,13 +35,9 @@ _SIGMA = {
 _PAULI_TRANSFORM = np.array([s.T.reshape(4) for s in _SIGMA.values()]) / 2
 
 
-class ResourceLimitError(ValueError):
-    """Chain length exceeds the configured dense-matrix ceiling."""
-
-
-def _check_n(n: int, limit: int) -> None:
-    if n > limit:
-        raise ResourceLimitError(f"n={n} exceeds the dense limit of {limit} qubits")
+def _check_n(n: int) -> None:
+    if n > N_MAX_PIPELINE:
+        raise ResourceLimitError(f"n={n} exceeds the dense limit of {N_MAX_PIPELINE} qubits")
 
 
 def _word_matrix(word: str) -> np.ndarray:
@@ -66,7 +61,7 @@ def to_matrix(op: Union[str, PauliString, PauliSum], n: int | None = None) -> np
         raise TypeError(f"cannot build a matrix from {type(op).__name__}")
     if n is not None and n != op.n:
         raise ValueError(f"operator acts on {op.n} qubits, got n={n}")
-    _check_n(op.n, N_MAX_MATRIX)
+    _check_n(op.n)
     out = np.zeros((2**op.n, 2**op.n), dtype=complex)
     for w, c in op.items():
         out += c * _word_matrix(w)
@@ -99,7 +94,9 @@ def pauli_decompose(mat: np.ndarray) -> PauliSum:
     n = side.bit_length() - 1
     if side != 2**n or n < 1:
         raise ValueError(f"side {side} is not a power of two (>= 2)")
-    _check_n(n, N_MAX_PIPELINE)
+    _check_n(n)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix has non-finite entries")
     words = ("".join(letters) for letters in itertools.product("IXYZ", repeat=n))
     return PauliSum(n, zip(words, _pauli_coefficients(mat, n).tolist()))
 
@@ -135,13 +132,12 @@ def exp_pulse(gen: PulseGenerator, theta: float, n: int | None = None) -> np.nda
     if isinstance(op, PauliString):
         if not op.is_hermitian:
             raise ValueError(f"pulse generator {op} is not Hermitian")
-        _check_n(op.n, N_MAX_PIPELINE)
+        _check_n(op.n)
         dim = 2**op.n
         sign = op.phase.real
         return np.cos(theta) * np.eye(dim) + 1j * np.sin(theta) * sign * _word_matrix(op.letters)
     if not op.is_hermitian:
         raise ValueError("pulse generator must be Hermitian")
-    _check_n(op.n, N_MAX_PIPELINE)
     evals, evecs = np.linalg.eigh(to_matrix(op))
     return (evecs * np.exp(1j * theta * evals)) @ evecs.conj().T
 
@@ -191,7 +187,7 @@ class PulseSchedule:
 
 def run_schedule(schedule: PulseSchedule) -> np.ndarray:
     """Compose a schedule into a unitary; the first pulse is the rightmost factor."""
-    _check_n(schedule.n, N_MAX_PIPELINE)
+    _check_n(schedule.n)
     u = np.eye(2**schedule.n, dtype=complex)
     for ref, theta in schedule.pulses:
         u = exp_pulse(ref, theta) @ u
@@ -231,7 +227,9 @@ def _frame_readout(u: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, float
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError("tolerance must be positive")
     u = np.asarray(u, dtype=complex)
-    _check_n(n, N_MAX_PIPELINE)
+    _check_n(n)
+    if u.shape != (2**n, 2**n):
+        raise ValueError(f"U has shape {u.shape}, expected {(2**n, 2**n)} for n={n}")
     if not unitarity_residual(u) <= tol:
         raise ValueError("input matrix is not unitary within tolerance")
     frame_words = [g.letters for g in gamma_frame(n)]

@@ -42,6 +42,10 @@ class DimensionMismatchError(ValueError):
     """Operands act on different numbers of qubits."""
 
 
+class ResourceLimitError(ValueError):
+    """A job exceeds a stated size budget (dense matrix side, closure dimension)."""
+
+
 class PauliParseError(ValueError):
     """Malformed Pauli string text; carries the offending character index."""
 

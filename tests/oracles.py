@@ -1,8 +1,9 @@
 """Independent numeric oracles used across the test suite.
 
 Everything here builds matrices from literal 2x2 Paulis and numpy only,
-deliberately bypassing the package's own dense backend, so agreement
-between the two is a real cross-check and not a tautology.
+and words from its own bit encoding, deliberately bypassing the
+package's own dense backend and closure engines, so agreement between
+the two is a real cross-check and not a tautology.
 """
 
 import itertools
@@ -123,3 +124,42 @@ def frame_readout(u, frame_words):
             if w not in frame_words:
                 leak = max(leak, abs(c))
     return r, leak
+
+
+def _word_bits(word):
+    """(x, z) bit masks of a word: X -> x, Z -> z, Y -> both; qubit 0 is bit 0."""
+    x = sum(1 << i for i, ch in enumerate(word) if ch in "XY")
+    z = sum(1 << i for i, ch in enumerate(word) if ch in "YZ")
+    return x, z
+
+
+def _bits_word(x, z, n):
+    return "".join("IXZY"[((x >> i) & 1) + 2 * ((z >> i) & 1)] for i in range(n))
+
+
+def closure_strings_all_pairs(n, words):
+    """Sorted basis of the string closure by the all-pairs work queue.
+
+    Each round pairs every frontier word with every current member and
+    inserts the product of each anticommuting pair, until a round adds
+    nothing.  Quadratic in the dimension; kept as the reference for the
+    generator-only engine.
+    """
+    known = {_word_bits(w): w for w in sorted(set(words))}
+    frontier = sorted(known.values())
+    while frontier:
+        members = sorted(known.values())
+        member_bits = [_word_bits(w) for w in members]
+        new = {}
+        for w in frontier:
+            x1, z1 = _word_bits(w)
+            for (x2, z2), w2 in zip(member_bits, members):
+                if w2 == w:
+                    continue
+                if bin((x1 & z2) ^ (z1 & x2)).count("1") & 1:
+                    key = (x1 ^ x2, z1 ^ z2)
+                    if key not in known and key not in new:
+                        new[key] = _bits_word(*key, n)
+        known.update(new)
+        frontier = sorted(new.values())
+    return tuple(sorted(known.values()))

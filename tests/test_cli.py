@@ -102,6 +102,12 @@ class TestClosure:
         code, _, err = run_cli(capsys, "closure", "--n", "2", "--gen", "q9")
         assert code == 2
 
+    def test_closure_past_budget_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "closure", "--n", "10", "--bus", "I,II,III")
+        assert code == 2
+        assert out == ""
+        assert "exceeds" in err
+
 
 class TestSchedule:
     def test_empty_schedule_is_identity(self, capsys, tmp_path):

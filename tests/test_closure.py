@@ -3,10 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spinchain
 from spinchain import (
     PauliString,
     PauliSum,
+    ResourceLimitError,
     bilinear,
     build_bus,
     check_universality,
@@ -16,8 +20,9 @@ from spinchain import (
     majorana,
     majorana_bilinear,
 )
+from spinchain import closure as closure_mod
 
-from oracles import dense_lie_rank, kron_word, random_word
+from oracles import closure_strings_all_pairs, dense_lie_rank, kron_word, random_word
 
 
 def bus_words(n, ids):
@@ -162,6 +167,12 @@ class TestClosureGeneral:
             closure_general(2, [])
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_general_closure_rejects_non_finite_tolerance(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        closure_general(2, [PauliSum(2, {"XI": 1.0})], tol=tol)
+
+
 class TestUniversality:
     def test_buses_without_third_gate_are_not_universal(self):
         verdict = check_universality(3, bus_words(3, ["I", "II"]))
@@ -197,3 +208,68 @@ def test_majorana_chain_closure_counts():
     for n in (1, 2, 3):
         words = [majorana(n, k).letters for k in range(2 * n)]
         assert closure_strings(n, words).dimension == 2 * n * n + n
+
+
+@st.composite
+def word_sets(draw):
+    n = draw(st.integers(1, 5))
+    word = st.text("IXYZ", min_size=n, max_size=n).filter(lambda w: w != "I" * n)
+    return n, draw(st.lists(word, min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_sets())
+def test_generator_only_closure_matches_all_pairs_oracle(case):
+    n, words = case
+    report = closure_strings(n, words)
+    assert report.basis == closure_strings_all_pairs(n, words)
+    general = closure_general(n, [PauliSum(n, {w: 1.0}) for w in words])
+    assert general.dimension == report.dimension
+
+
+@pytest.mark.parametrize(
+    "n,ids",
+    [(n, ["I", "II"]) for n in range(1, 6)] + [(n, ["I", "II", "III"]) for n in range(2, 6)],
+)
+def test_bus_closures_match_all_pairs_oracle(n, ids):
+    words = bus_words(n, ids)
+    assert closure_strings(n, words).basis == closure_strings_all_pairs(n, words)
+
+
+@pytest.mark.parametrize(
+    "n,ids,expected",
+    [(60, ["I", "II"], 2 * 60 * 60 + 60), (7, ["I", "II", "III"], 4**7 - 1)],
+)
+def test_string_closure_closed_forms_at_large_n(n, ids, expected):
+    report = closure_strings(n, bus_words(n, ids))
+    assert report.dimension == expected
+    assert report.pairs_processed == expected * len(bus_words(n, ids))
+
+
+def test_general_closure_of_all_bilinears_n4():
+    report = closure_general(4, all_bilinears(4))
+    assert report.dimension == 2 * 4 * 4 - 4
+    assert report.label == "so(2n)"
+
+
+class TestClosureBudget:
+    def test_default_budget_is_universal_n9(self):
+        assert closure_mod.MAX_CLOSURE_DIMENSION == 4**9 - 1
+
+    def test_string_closure_stops_past_budget(self, monkeypatch):
+        words = bus_words(3, ["I", "II"])
+        monkeypatch.setattr(closure_mod, "MAX_CLOSURE_DIMENSION", 21)
+        assert closure_strings(3, words).dimension == 21
+        monkeypatch.setattr(closure_mod, "MAX_CLOSURE_DIMENSION", 20)
+        with pytest.raises(ResourceLimitError, match="exceeds"):
+            closure_strings(3, words)
+
+    def test_general_closure_stops_past_budget(self, monkeypatch):
+        monkeypatch.setattr(closure_mod, "MAX_CLOSURE_DIMENSION", 14)
+        with pytest.raises(ResourceLimitError):
+            closure_general(3, all_bilinears(3))
+
+    def test_one_error_type_across_modules(self):
+        assert spinchain.ResourceLimitError is spinchain.dense.ResourceLimitError
+        assert spinchain.ResourceLimitError is spinchain.pauli.ResourceLimitError
+        assert issubclass(ResourceLimitError, ValueError)

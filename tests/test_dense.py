@@ -72,6 +72,11 @@ class TestToMatrix:
         with pytest.raises(ResourceLimitError):
             to_matrix("X" * 13)
 
+    def test_one_dense_ceiling(self):
+        assert to_matrix("X" * N_MAX_PIPELINE).shape == (2**N_MAX_PIPELINE,) * 2
+        with pytest.raises(ResourceLimitError, match="dense limit"):
+            to_matrix("X" * 9)
+
 
 class TestPauliDecompose:
     def test_identity(self):
@@ -95,6 +100,15 @@ class TestPauliDecompose:
             pauli_decompose(np.zeros((3, 3)))
         with pytest.raises(ValueError):
             pauli_decompose(np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            pauli_decompose(np.full((2, 2), bad))
+        mat = np.eye(4, dtype=complex)
+        mat[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            pauli_decompose(mat)
 
 
 class TestExpPulse:
@@ -385,6 +399,13 @@ class TestReadoutValidation:
     def test_non_finite_matrix_is_not_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             so_membership(np.full((2, 2), np.nan), 1)
+
+    @pytest.mark.parametrize("readout", [so_membership, adjoint_rotation])
+    @pytest.mark.parametrize("shape", [(2, 2), (8, 8), (4, 2), (4,)])
+    def test_matrix_side_must_match_n(self, readout, shape):
+        u = np.eye(*shape) if len(shape) == 2 else np.ones(shape)
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]},.*expected \(4, 4\)"):
+            readout(u, 2)
 
 
 class TestScheduleValidation:
