@@ -121,6 +121,7 @@ def closure_strings(n: int, generators: Iterable[str]) -> ClosureReport:
         new = []
         for x1, z1 in frontier:
             for x2, z2 in gens:
+                # Odd phase exponent (anticommuting pair) in symplectic form; bit ops are faster.
                 if (((x1 & z2) ^ (z1 & x2)).bit_count()) & 1:
                     key = (x1 ^ x2, z1 ^ z2)
                     if key not in known:
@@ -150,7 +151,8 @@ def closure_general(
     Each new basis vector V is bracketed with every generator G.  The
     identity component of every element is projected out first: the
     bracket never produces it and keeping it would count the global
-    phase direction as a dimension.
+    phase direction as a dimension.  A span larger than 4^n - 1 can
+    only come from rounding error passing tol, and raises ValueError.
     """
     if not 0 < tol < float("inf"):
         raise ValueError("tol must be positive and finite")
@@ -189,6 +191,11 @@ def closure_general(
             for g in generators:
                 try_add(1j * g.commutator(v))
             _check_budget(n, len(basis))
+            if len(basis) > 4**n - 1:
+                raise ValueError(
+                    f"closure at n={n} exceeds 4^n - 1 = {4**n - 1} elements: "
+                    f"rounding error passed tol={tol:g}; retry with a larger tol"
+                )
         frontier = basis[start:]
 
     return _report(n, len(basis), rounds, len(generators))

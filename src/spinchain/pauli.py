@@ -148,11 +148,11 @@ class PauliString:
     def commutes_with(self, other: "PauliString") -> bool:
         """True iff self*other == other*self.
 
-        Two Pauli strings commute exactly when the number of positions
-        holding distinct non-identity letters is even.
+        For words a*b = i^e c the reversed product is b*a = i^-e c, so two
+        Pauli strings commute exactly when e is even.
         """
         _check_same_n(self, other)
-        return words_commute(self.letters, other.letters)
+        return word_product(self.letters, other.letters)[0] % 2 == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliString):
@@ -182,14 +182,6 @@ def word_product(a: str, b: str) -> tuple[int, str]:
     return exp & 3, "".join(out)
 
 
-def words_commute(a: str, b: str) -> bool:
-    """Commutation of phase-free words: even number of clashing letters."""
-    if len(a) != len(b):
-        raise DimensionMismatchError(f"word lengths differ: {len(a)} vs {len(b)}")
-    clashes = sum(1 for la, lb in zip(a, b) if la != lb and la != "I" and lb != "I")
-    return clashes % 2 == 0
-
-
 def commutator(p: PauliString, q: PauliString) -> Optional[PauliString]:
     """Commutator of two Pauli strings, up to the fixed scalar 2.
 
@@ -197,8 +189,7 @@ def commutator(p: PauliString, q: PauliString) -> Optional[PauliString]:
     s = p*q, with the understanding that [p, q] = 2*s; the factor 2 is
     a scalar outside the phase group and is left to the caller.
     """
-    _check_same_n(p, q)
-    if words_commute(p.letters, q.letters):
+    if p.commutes_with(q):
         return None
     return p * q
 

@@ -73,6 +73,12 @@ class TestCar:
         assert payload["max_deviation"] > 0
         assert payload["failures"]
 
+    def test_past_mode_budget_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "car", "--n", "101")
+        assert code == 2
+        assert out == ""
+        assert "exceeds 100 modes" in err
+
 
 class TestClosure:
     def test_buses(self, capsys):

@@ -22,7 +22,7 @@ from spinchain import (
 )
 from spinchain import closure as closure_mod
 
-from oracles import closure_strings_all_pairs, dense_lie_rank, kron_word, random_word
+from oracles import closure_strings_all_pairs, dense_lie_rank, dense_of_terms, kron_word, random_word
 
 
 def bus_words(n, ids):
@@ -250,6 +250,26 @@ def test_general_closure_of_all_bilinears_n4():
     report = closure_general(4, all_bilinears(4))
     assert report.dimension == 2 * 4 * 4 - 4
     assert report.label == "so(2n)"
+
+
+def test_ill_conditioned_general_closure_never_exceeds_su():
+    # At the default tol, Gram-Schmidt rounding error grows this span past 63 = 4^3 - 1.
+    gens = [
+        PauliSum(3, {"ZII": -0.06063397359894651, "IZI": 0.1968163749699181,
+                     "XYX": -0.5100009185920025}),
+        PauliSum(3, {"IXI": -0.018844070747454422, "ZYI": -0.04119820227668969,
+                     "IYY": 0.22683090028656605, "YYX": -0.24300478391841462,
+                     "YZI": 0.26545749168767774}),
+    ]
+    mats = [dense_of_terms(3, g.items()) for g in gens]
+    assert dense_lie_rank(mats) == 4**3 - 1
+    try:
+        report = closure_general(3, gens)
+    except ValueError as exc:
+        assert "tol=" in str(exc)
+    else:
+        assert report.dimension <= 4**3 - 1
+    assert closure_general(3, gens, tol=1e-7).dimension == 4**3 - 1
 
 
 class TestClosureBudget:

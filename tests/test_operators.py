@@ -4,17 +4,23 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinchain import (
     DimensionMismatchError,
     PauliString,
     PauliSum,
+    ResourceLimitError,
     annihilation_operator,
     bilinear,
+    closure_general,
     creation_operator,
+    exp_pulse,
     majorana,
     verify_car,
 )
+from spinchain import operators
 
 from oracles import dense_of_terms, random_word
 
@@ -90,6 +96,59 @@ class TestArithmetic:
         assert PauliSum.from_json_dict(payload) == a
 
 
+# Magnitudes of at least 1e-3 keep every pair product far above the
+# pruning tolerance, so no product term sits at the pruning edge.
+_COEFF_PART = st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3) | st.just(0.0)
+
+
+@st.composite
+def sum_pairs(draw):
+    n = draw(st.integers(1, 4))
+    word = st.text("IXYZ", min_size=n, max_size=n)
+    coeff = st.builds(complex, _COEFF_PART, _COEFF_PART)
+
+    def one_sum():
+        return PauliSum(n, draw(st.dictionaries(word, coeff, min_size=1, max_size=5)))
+
+    return n, one_sum(), one_sum()
+
+
+@settings(max_examples=150, deadline=None)
+@given(sum_pairs())
+def test_products_and_brackets_match_dense_and_two_product_forms(case):
+    n, a, b = case
+    ma, mb = dense_of_terms(n, a.items()), dense_of_terms(n, b.items())
+    ab, ba = ma @ mb, mb @ ma
+    for got, want in (
+        (a @ b, ab),
+        (a.commutator(b), ab - ba),
+        (a.anticommutator(b), ab + ba),
+    ):
+        assert np.max(np.abs(dense_of_terms(n, got.items()) - want)) < 1e-12
+    assert (a.commutator(b) - (a @ b - b @ a)).max_coeff() < 1e-12
+    assert (a.anticommutator(b) - (a @ b + b @ a)).max_coeff() < 1e-12
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf"))])
+    def test_non_finite_coefficient_names_the_word(self, bad):
+        with pytest.raises(ValueError, match="'Z'"):
+            PauliSum(1, {"X": 1.0, "Z": bad})
+
+    def test_non_finite_sum_never_reaches_pulse_or_closure(self):
+        with pytest.raises(ValueError, match="not finite"):
+            exp_pulse(PauliSum(1, {"X": float("nan"), "Z": 1.0}), 0.3)
+        x, z = PauliSum(1, {"X": 1.0}), PauliSum(1, {"Z": 1.0})
+        with pytest.raises(ValueError, match="finite"):
+            closure_general(1, [x + float("nan") * z])
+
+    @pytest.mark.parametrize("n", [2.7, 2.0, True, "2"])
+    def test_json_n_must_be_an_integer(self, n):
+        payload = {"n": n, "terms": [{"word": "XY", "re": 1.0, "im": 0.0}]}
+        with pytest.raises(ValueError, match="integer"):
+            PauliSum.from_json_dict(payload)
+
+
 class TestLadderOperators:
     def test_single_mode_forms(self):
         assert annihilation_operator(1, 0) == PauliSum(1, {"X": 0.5, "Y": 0.5j})
@@ -137,6 +196,18 @@ class TestCarVerification:
     def test_report_json(self):
         payload = verify_car(2).to_json_dict()
         assert payload == {"n": 2, "max_deviation": 0.0, "failures": []}
+
+    def test_injected_fault_touches_only_mode_zero(self):
+        failures = verify_car(3, inject_fault=True).failures
+        assert failures
+        assert all(0 in pair for _, pair, _ in failures)
+
+    def test_mode_budget(self, monkeypatch):
+        assert operators.MAX_CAR_MODES == 100
+        monkeypatch.setattr(operators, "MAX_CAR_MODES", 3)
+        assert verify_car(3).ok
+        with pytest.raises(ResourceLimitError, match="exceeds 3 modes"):
+            verify_car(4)
 
 
 class TestBilinears:
