@@ -134,6 +134,8 @@ class GeneratorRef:
     raw: Optional[PauliString] = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be positive")
         if self.kind in ("e", "d"):
             if self.index is None:
                 raise ValueError(f"kind {self.kind!r} needs an index")
@@ -145,15 +147,12 @@ class GeneratorRef:
         elif self.kind == "third":
             if self.n < 2:
                 raise ValueError("third-order gate needs at least 2 qubits")
-        elif self.kind == "chirality":
-            if self.n < 1:
-                raise ValueError("n must be positive")
         elif self.kind == "raw":
             if self.raw is None:
                 raise ValueError("raw reference needs a PauliString")
             if self.raw.n != self.n:
                 raise ValueError(f"raw string acts on {self.raw.n} qubits, expected {self.n}")
-        else:
+        elif self.kind != "chirality":
             raise ValueError(f"unknown generator kind {self.kind!r}")
 
     def resolve(self) -> PauliString:

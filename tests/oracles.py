@@ -26,6 +26,19 @@ def kron_word(word, phase=1.0):
     return phase * out
 
 
+def compose_pulses(n, pulses):
+    """Unitary of a pulse sequence by one dense matmul per pulse, first pulse rightmost.
+
+    pulses holds (word, sign, theta) with sign +1 or -1; each pulse is
+    exp(i theta sign W) = cos(theta) I + i sin(theta) sign W.
+    """
+    eye = np.eye(2**n, dtype=complex)
+    u = eye
+    for word, sign, theta in pulses:
+        u = (np.cos(theta) * eye + 1j * np.sin(theta) * kron_word(word, sign)) @ u
+    return u
+
+
 def dense_of_terms(n, items):
     """Dense matrix of a {word: coeff} mapping or (word, coeff) iterable."""
     if hasattr(items, "items"):

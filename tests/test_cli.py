@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from spinchain import dense
 from spinchain.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -49,6 +50,14 @@ class TestGen:
         code, out, _ = run_cli(capsys, "gen", "e", "--n", "2", "--k", "3", "--output", "table")
         assert code == 0
         assert out.strip() == "ZY"
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    @pytest.mark.parametrize("kind", [["e", "--k", "0"], ["d", "--k", "0"], ["third"], ["chirality"]])
+    def test_non_positive_n_exits_two(self, capsys, kind, n):
+        code, out, err = run_cli(capsys, "gen", *kind, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "n must be positive" in err
 
     def test_bad_kind_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -202,6 +211,15 @@ class TestScheduleInputErrors:
         assert out == ""
         assert "integer" in err
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_n_in_file_exits_two(self, capsys, tmp_path, n):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"n": n, "pulses": []}))
+        code, out, err = run_cli(capsys, "schedule", str(path))
+        assert code == 2
+        assert out == ""
+        assert "n must be positive" in err
+
     def test_negative_random_count_exits_two(self, capsys):
         code, out, err = run_cli(
             capsys, "schedule", "--random", "-5", "--bus", "I,II", "--n", "2", "--seed", "1"
@@ -209,6 +227,24 @@ class TestScheduleInputErrors:
         assert code == 2
         assert out == ""
         assert "non-negative" in err
+
+    def test_random_count_past_budget_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(dense, "MAX_SCHEDULE_PULSES", 5)
+        code, out, err = run_cli(
+            capsys, "schedule", "--random", "6", "--bus", "I", "--n", "2", "--seed", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds the limit of 5" in err
+
+    def test_schedule_file_past_budget_exits_two(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(dense, "MAX_SCHEDULE_PULSES", 5)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"n": 2, "pulses": [{"gen": "e0", "theta": 0.3}] * 6}))
+        code, out, err = run_cli(capsys, "schedule", str(path))
+        assert code == 2
+        assert out == ""
+        assert "exceeds the limit of 5" in err
 
     @pytest.mark.parametrize("tolerance", ["-1", "0", "nan"])
     def test_non_positive_tolerance_exits_two(self, capsys, tolerance):

@@ -29,10 +29,14 @@ from spinchain import (
     unitarity_residual,
 )
 
-from spinchain.dense import N_MAX_PIPELINE
+from spinchain import dense
+from spinchain.dense import N_MAX_PIPELINE, _word_matrix
+from spinchain.generators import build_bus, parse_generator
 
 from oracles import (
     SIGMA,
+    all_words,
+    compose_pulses,
     dense_of_terms,
     frame_readout,
     kron_word,
@@ -423,3 +427,116 @@ class TestScheduleValidation:
     def test_non_integer_n_rejected(self, n):
         with pytest.raises(ValueError, match="integer"):
             PulseSchedule.from_json_dict({"n": n, "pulses": []})
+
+
+class TestWordAction:
+    """Every word matrix comes from one signed permutation; kron_word is the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_word_matches_kronecker_exactly(self, n):
+        for w in all_words(n):
+            assert np.array_equal(_word_matrix(w), kron_word(w)), w
+            assert np.array_equal(to_matrix(w), kron_word(w)), w
+
+    def test_seeded_words_at_pipeline_limit(self):
+        rng = random.Random(97)
+        for _ in range(12):
+            w = random_word(rng, N_MAX_PIPELINE)
+            assert np.array_equal(_word_matrix(w), kron_word(w)), w
+            assert np.array_equal(to_matrix(w), kron_word(w)), w
+
+    @pytest.mark.parametrize("phase", [1, -1, 1j, -1j])
+    def test_phased_words(self, phase):
+        for w in all_words(2):
+            assert np.array_equal(to_matrix(PauliString(w, phase)), kron_word(w, phase))
+
+
+def _pulse_ref(n, choice):
+    kind, value = choice
+    if kind == "raw":
+        return parse_generator(value, n)
+    bus_ids = ("I", "II", "III") if n > 1 else ("I", "II")
+    members = [ref for bus_id in bus_ids for ref in build_bus(n, bus_id).members]
+    return members[value % len(members)]
+
+
+@st.composite
+def mixed_schedules(draw):
+    """Bus references mixed with raw signed words such as -ZX, n <= 5."""
+    n = draw(st.integers(1, 5))
+    raw = st.tuples(st.sampled_from(["", "-"]), st.text("IXYZ", min_size=n, max_size=n)).map("".join)
+    choices = st.one_of(st.tuples(st.just("bus"), st.integers(0, 20)), st.tuples(st.just("raw"), raw))
+    angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+    pulses = draw(st.lists(st.tuples(choices, angles), max_size=25))
+    return PulseSchedule(n=n, pulses=tuple((_pulse_ref(n, c), t) for c, t in pulses))
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_schedules())
+def test_run_schedule_matches_matmul_composition(schedule):
+    words = [(ref.resolve(), theta) for ref, theta in schedule.pulses]
+    want = compose_pulses(schedule.n, [(p.letters, p.phase.real, t) for p, t in words])
+    assert np.max(np.abs(run_schedule(schedule) - want)) < 1e-12
+
+
+def test_non_hermitian_raw_pulse_raises_like_exp_pulse():
+    ref = GeneratorRef("raw", 2, raw=PauliString("ZX", 1j))
+    with pytest.raises(ValueError, match="not Hermitian") as from_pulse:
+        exp_pulse(ref, 0.3)
+    schedule = PulseSchedule(n=2, pulses=((GeneratorRef("e", 2, index=0), 0.1), (ref, 0.3)))
+    with pytest.raises(ValueError, match="not Hermitian") as from_schedule:
+        run_schedule(schedule)
+    assert str(from_schedule.value) == str(from_pulse.value)
+
+
+class TestMembershipNumbers:
+    """The verdict carries the orthogonality and determinant deviations it compared."""
+
+    @staticmethod
+    def _expected(r):
+        return np.max(np.abs(r.T @ r - np.eye(r.shape[0]))), abs(np.linalg.det(r) - 1.0)
+
+    def test_member_deviations_within_tolerance(self):
+        u = run_schedule(random_schedule(4, ["I", "II"], 30, seed=11))
+        result = so_membership(u, 4, tol=1e-9)
+        assert result.member
+        ortho, det_dev = self._expected(result.rotation)
+        assert result.orthogonality == pytest.approx(ortho, abs=1e-15)
+        assert result.det_deviation == pytest.approx(det_dev, abs=1e-15)
+        assert result.orthogonality < 1e-12 and result.det_deviation < 1e-12
+
+    def test_bus_three_leaker_loses_orthogonality(self):
+        schedule = random_schedule(4, ["I", "II", "III"], 30, seed=11)
+        assert any(ref.kind == "third" for ref, _ in schedule.pulses)
+        result = so_membership(run_schedule(schedule), 4, tol=1e-9)
+        assert not result.member
+        ortho, det_dev = self._expected(result.rotation)
+        assert result.orthogonality == pytest.approx(ortho, abs=1e-15)
+        assert result.det_deviation == pytest.approx(det_dev, abs=1e-15)
+        # a leaked coefficient c takes c^2 from its column's squared norm
+        assert result.orthogonality >= result.residual**2 - 1e-12
+        assert result.orthogonality > 1e-6
+
+    def test_new_fields_stay_out_of_equality_and_repr(self):
+        result = so_membership(np.eye(4), 2)
+        assert result == MembershipResult(member=True, residual=0.0)
+        assert "orthogonality" not in repr(result) and "det_deviation" not in repr(result)
+
+
+class TestScheduleBudget:
+    """MAX_SCHEDULE_PULSES caps schedules; tests lower it instead of building huge ones."""
+
+    def test_random_schedule_over_budget(self, monkeypatch):
+        monkeypatch.setattr(dense, "MAX_SCHEDULE_PULSES", 5)
+        assert len(random_schedule(2, ["I"], 5, seed=0).pulses) == 5
+        with pytest.raises(ResourceLimitError, match="6 pulses exceeds the limit of 5"):
+            random_schedule(2, ["I"], 6, seed=0)
+
+    def test_schedule_constructor_over_budget(self, monkeypatch):
+        monkeypatch.setattr(dense, "MAX_SCHEDULE_PULSES", 5)
+        ref = GeneratorRef("e", 2, index=0)
+        PulseSchedule(n=2, pulses=((ref, 0.1),) * 5)
+        with pytest.raises(ResourceLimitError, match="limit of 5"):
+            PulseSchedule(n=2, pulses=((ref, 0.1),) * 6)
+        with pytest.raises(ResourceLimitError):
+            PulseSchedule.from_json_dict({"n": 2, "pulses": [{"gen": "e0", "theta": 0.1}] * 6})
