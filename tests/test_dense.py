@@ -30,7 +30,7 @@ from spinchain import (
 )
 
 from spinchain import dense
-from spinchain.dense import N_MAX_PIPELINE, _word_matrix
+from spinchain.dense import N_MAX_PIPELINE
 from spinchain.generators import build_bus, parse_generator
 
 from oracles import (
@@ -435,14 +435,23 @@ class TestWordAction:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_word_matches_kronecker_exactly(self, n):
         for w in all_words(n):
-            assert np.array_equal(_word_matrix(w), kron_word(w)), w
             assert np.array_equal(to_matrix(w), kron_word(w)), w
 
     def test_seeded_words_at_pipeline_limit(self):
         rng = random.Random(97)
         for _ in range(12):
             w = random_word(rng, N_MAX_PIPELINE)
-            assert np.array_equal(_word_matrix(w), kron_word(w)), w
+            assert np.array_equal(to_matrix(w), kron_word(w)), w
+
+    def test_word_pulses_match_kronecker(self):
+        for w in all_words(2):
+            want = np.cos(0.4) * np.eye(4) + 1j * np.sin(0.4) * kron_word(w)
+            assert np.allclose(exp_pulse(PauliString(w), 0.4), want, rtol=0, atol=1e-15), w
+
+    def test_needs_no_numpy_2_bit_count(self, monkeypatch):
+        # numpy < 2.0 has no bitwise_count; the word phases must not rely on it
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        for w in all_words(3):
             assert np.array_equal(to_matrix(w), kron_word(w)), w
 
     @pytest.mark.parametrize("phase", [1, -1, 1j, -1j])
