@@ -3,8 +3,8 @@
 Exit codes: 0 success (and any checked claim holds), 1 a checked claim
 fails, 2 usage or input error.  JSON is the machine interface; pass
 ``--output table`` for aligned human-readable text.  Randomized commands
-take an explicit ``--seed``.  Floats in JSON output are rounded to 12
-decimals so command output is byte-stable.
+take an explicit ``--seed``.  Floats are rounded to 12 decimals before
+either form is printed, so command output is byte-stable.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ def _round_floats(obj):
 
 
 def _emit(payload: dict, output: str, table_lines) -> None:
+    payload = _round_floats(payload)
     if output == "json":
-        print(json.dumps(_round_floats(payload), sort_keys=True, indent=2, allow_nan=False))
+        print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
     else:
         for line in table_lines(payload):
             print(line)
@@ -87,7 +88,10 @@ def _collect_words(n: int, bus_arg: str | None, gen_arg: str | None) -> list[str
             words.extend(generators.build_bus(n, bus_id).words())
     if gen_arg:
         for text in gen_arg.split(","):
-            words.append(generators.parse_generator(text, n).resolve().letters)
+            word = generators.parse_generator(text, n).resolve()
+            if not word.is_hermitian:
+                raise ValueError(f"closure generator {text} is not Hermitian")
+            words.append(word.letters)
     if not words:
         raise ValueError("no generators given; use --bus and/or --gen")
     return words

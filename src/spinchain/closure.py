@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .operators import PauliSum
-from .pauli import ResourceLimitError, bits_to_word, validate_words, word_to_bits
+from .pauli import ResourceLimitError, bits_to_word, words_to_bits
 
 MAX_CLOSURE_DIMENSION = 4**9 - 1
 
@@ -105,14 +105,12 @@ def closure_strings(n: int, generators: Iterable[str]) -> ClosureReport:
     the dimension count).  Output basis is sorted and independent of
     generator order.
     """
-    words = sorted(set(validate_words(n, generators)))
-    if not words:
+    gens = words_to_bits(n, sorted(set(generators)))
+    if not gens:
         raise ValueError("generator set must be nonempty")
-    identity = "I" * n
-    if identity in words:
+    if (0, 0) in gens:
         raise ValueError("the identity word is not a valid closure generator")
 
-    gens = [word_to_bits(w) for w in words]
     known = set(gens)
     frontier = gens
     rounds = 0
@@ -121,7 +119,8 @@ def closure_strings(n: int, generators: Iterable[str]) -> ClosureReport:
         new = []
         for x1, z1 in frontier:
             for x2, z2 in gens:
-                # Odd phase exponent (anticommuting pair) in symplectic form; bit ops are faster.
+                # Anticommuting pair: the parity of bits_product's exponent, inline
+                # because a call per pair made this loop about 4x slower.
                 if (((x1 & z2) ^ (z1 & x2)).bit_count()) & 1:
                     key = (x1 ^ x2, z1 ^ z2)
                     if key not in known:
@@ -136,8 +135,8 @@ def closure_strings(n: int, generators: Iterable[str]) -> ClosureReport:
 
 def _inner(a: PauliSum, b: PauliSum) -> float:
     # Real coefficients throughout (Hermitian inputs, i*[A,B] brackets).
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
-    return sum(c.real * big.coeff(w).real for w, c in small.items())
+    small, big = (a._terms, b._terms) if len(a) <= len(b) else (b._terms, a._terms)
+    return sum(c.real * big.get(k, 0j).real for k, c in small.items())
 
 
 def closure_general(

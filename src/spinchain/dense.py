@@ -26,7 +26,7 @@ import numpy as np
 
 from .generators import GeneratorRef, build_bus, gamma_frame, parse_generator
 from .operators import PauliSum
-from .pauli import PauliString, ResourceLimitError
+from .pauli import PauliString, ResourceLimitError, word_to_bits
 
 N_MAX_PIPELINE = 8
 # Longest schedule accepted; each pulse costs O(4^n) when composed.
@@ -47,26 +47,24 @@ def _check_n(n: int) -> None:
         raise ResourceLimitError(f"n={n} exceeds the dense limit of {N_MAX_PIPELINE} qubits")
 
 
-_FLIP_BITS = str.maketrans("IXYZ", "0110")
 _Y_PHASES = (1, 1j, -1, -1j)
 
 
 def _word_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
     """A Pauli word as a signed permutation: W[rows[c], c] = phase[c].
 
-    rows[c] = c ^ flip with flip the X/Y qubits, and the phase is
-    i^#Y (-1)^popcount(c & zmask) with zmask the Y/Z qubits (Aaronson &
-    Gottesman, arXiv:quant-ph/0406196).  Qubit 0 is the leftmost kron
-    factor, so it is the most significant bit of c here, the reverse of
-    pauli.word_to_bits.
+    With (flip, zmask) = pauli.word_to_bits(letters), whose qubit 0 is
+    the most significant bit as in the kron order, rows[c] = c ^ flip and
+    the phase is i^#Y (-1)^popcount(c & zmask) with #Y = |flip & zmask|
+    (Aaronson & Gottesman, arXiv:quant-ph/0406196).
     """
     cols = np.arange(2 ** len(letters))
-    flip = int(letters.translate(_FLIP_BITS), 2)
+    flip, zmask = word_to_bits(letters)
     parity = np.zeros_like(cols)
-    for bit, letter in enumerate(reversed(letters)):
-        if letter in "YZ":
+    for bit in range(zmask.bit_length()):
+        if zmask >> bit & 1:
             parity ^= cols >> bit
-    return cols ^ flip, _Y_PHASES[letters.count("Y") % 4] * (1 - 2 * (parity & 1))
+    return cols ^ flip, _Y_PHASES[(flip & zmask).bit_count() % 4] * (1 - 2 * (parity & 1))
 
 
 def to_matrix(op: Union[str, PauliString, PauliSum], n: int | None = None) -> np.ndarray:

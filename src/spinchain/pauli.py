@@ -9,9 +9,12 @@ complex coefficients belong to :class:`spinchain.operators.PauliSum`.
 Conventions:
 
 - Qubit 0 is the leftmost letter of the word.
-- Phase-free words are plain Python strings, so lexicographic word order
-  is ordinary string order and word sets hash for free.
+- Phase-free words are plain Python strings in the API, so lexicographic
+  word order is ordinary string order and word sets hash for free.
 - Text form is ``[+|-][i]?<letters>``, e.g. ``"XY"``, ``"-iZX"``.
+- Internally a word is the bit pair (x, z): X -> x, Z -> z, Y -> both,
+  qubit 0 the most significant bit (the Kronecker order).  word_to_bits
+  and bits_to_word are the only converters, bits_product the one product.
 """
 
 from __future__ import annotations
@@ -27,15 +30,14 @@ _PHASE_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
 _PHASE_EXPONENT = {1 + 0j: 0, 1j: 1, -1 + 0j: 2, -1j: 3}
 _PHASE_PREFIX = ("", "i", "-", "-i")
 
-# Letterwise products a*b -> (power of i, letter).  XY = iZ and cyclic,
-# reversed order picks up -i; identical letters square to I.
-_LETTER_MUL = {
-    ("I", "I"): (0, "I"), ("I", "X"): (0, "X"), ("I", "Y"): (0, "Y"), ("I", "Z"): (0, "Z"),
-    ("X", "I"): (0, "X"), ("Y", "I"): (0, "Y"), ("Z", "I"): (0, "Z"),
-    ("X", "X"): (0, "I"), ("Y", "Y"): (0, "I"), ("Z", "Z"): (0, "I"),
-    ("X", "Y"): (1, "Z"), ("Y", "Z"): (1, "X"), ("Z", "X"): (1, "Y"),
-    ("Y", "X"): (3, "Z"), ("Z", "Y"): (3, "X"), ("X", "Z"): (3, "Y"),
-}
+# Byte tables taking a letter to its x or z bit as a binary digit and any other
+# byte to "!" (find gives -1), which int() rejects, so translating validates.
+_X_DIGITS = bytes(b"0110!"[PAULI_LETTERS.find(chr(c))] for c in range(256))
+_Z_DIGITS = bytes(b"0011!"[PAULI_LETTERS.find(chr(c))] for c in range(256))
+# bits_to_word spreads bit i of x and z to hex digit i, so that x + 2z has
+# the digit x_i + 2 z_i per qubit.  Bytes look their spread up.
+_SPREAD = tuple(int(f"{v:b}", 16) for v in range(256))
+_LETTERS_OF_DIGITS = str.maketrans("0123", "IXZY")
 
 
 class DimensionMismatchError(ValueError):
@@ -75,11 +77,7 @@ class PauliString:
     __slots__ = ("letters", "phase_exp")
 
     def __init__(self, letters: str, phase: complex = 1):
-        if not letters:
-            raise ValueError("letters must be a nonempty string over IXYZ")
-        for idx, ch in enumerate(letters):
-            if ch not in PAULI_LETTERS:
-                raise ValueError(f"invalid Pauli letter {ch!r} at index {idx}")
+        word_to_bits(letters)  # raises ValueError unless letters is a word over IXYZ
         try:
             exp = _PHASE_EXPONENT[complex(phase)]
         except (KeyError, TypeError):
@@ -146,11 +144,7 @@ class PauliString:
         return PauliString._make(self.letters, self.phase_exp + 2)
 
     def commutes_with(self, other: "PauliString") -> bool:
-        """True iff self*other == other*self.
-
-        For words a*b = i^e c the reversed product is b*a = i^-e c, so two
-        Pauli strings commute exactly when e is even.
-        """
+        """True iff self*other == other*self: the product's phase exponent is even."""
         _check_same_n(self, other)
         return word_product(self.letters, other.letters)[0] % 2 == 0
 
@@ -169,17 +163,26 @@ class PauliString:
         return f"PauliString({str(self)!r})"
 
 
+def bits_product(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, tuple[int, int]]:
+    """Product of two words as bits: W(a) W(b) = i^e W(x, z); returns (e, (x, z)).
+
+    A word is W(x, z) = i^|x&z| X^x Z^z, and moving Z^z1 past X^x2 gives
+    (-1)^|z1&x2|, so e = |x1&z1| + |x2&z2| - |x&z| + 2|z1&x2| mod 4
+    (Aaronson & Gottesman, arXiv:quant-ph/0406196).  The reversed product
+    is i^-e W(x, z), so the words commute exactly when e is even.
+    """
+    (x1, z1), (x2, z2) = a, b
+    x, z = x1 ^ x2, z1 ^ z2
+    e = (x1 & z1).bit_count() + (x2 & z2).bit_count() - (x & z).bit_count()
+    return (e + 2 * (z1 & x2).bit_count()) & 3, (x, z)
+
+
 def word_product(a: str, b: str) -> tuple[int, str]:
     """Multiply two phase-free words; returns (power of i, product word)."""
     if len(a) != len(b):
         raise DimensionMismatchError(f"word lengths differ: {len(a)} vs {len(b)}")
-    exp = 0
-    out = []
-    for la, lb in zip(a, b):
-        d, lc = _LETTER_MUL[la, lb]
-        exp += d
-        out.append(lc)
-    return exp & 3, "".join(out)
+    exp, (x, z) = bits_product(word_to_bits(a), word_to_bits(b))
+    return exp, bits_to_word(x, z, len(a))
 
 
 def commutator(p: PauliString, q: PauliString) -> Optional[PauliString]:
@@ -223,38 +226,26 @@ def parse_pauli(text: str, n: int) -> PauliString:
 
 
 def word_to_bits(word: str) -> tuple[int, int]:
-    """Symplectic encoding of a word: bit i of x set iff letter i in {X,Y},
-    bit i of z set iff letter i in {Y,Z}.  Qubit 0 maps to bit 0."""
-    x = z = 0
-    for i, ch in enumerate(word):
-        if ch == "X":
-            x |= 1 << i
-        elif ch == "Y":
-            x |= 1 << i
-            z |= 1 << i
-        elif ch == "Z":
-            z |= 1 << i
-    return x, z
+    """Symplectic pair (x, z) of a nonempty word over IXYZ, qubit 0 the top bit."""
+    try:
+        w = word.encode()
+        return int(w.translate(_X_DIGITS), 2), int(w.translate(_Z_DIGITS), 2)
+    except ValueError:
+        raise ValueError(f"{word!r} is not a nonempty word over IXYZ") from None
 
 
 def bits_to_word(x: int, z: int, n: int) -> str:
-    """Inverse of word_to_bits."""
-    out = []
-    for i in range(n):
-        xi = (x >> i) & 1
-        zi = (z >> i) & 1
-        out.append("IXZY"[xi + 2 * zi])
-    return "".join(out)
+    """Inverse of word_to_bits for an n-qubit word."""
+    sx = _SPREAD[x] if x < 256 else int(f"{x:b}", 16)
+    sz = _SPREAD[z] if z < 256 else int(f"{z:b}", 16)
+    return f"{sx + 2 * sz:x}".translate(_LETTERS_OF_DIGITS).rjust(n, "I")
 
 
-def validate_words(n: int, words: Iterable[str]) -> list[str]:
-    """Check every word has length n over IXYZ; returns them as a list."""
+def words_to_bits(n: int, words: Iterable[str]) -> list[tuple[int, int]]:
+    """word_to_bits of every word, checking that each has n letters."""
     out = []
     for w in words:
         if len(w) != n:
             raise DimensionMismatchError(f"word {w!r} has length {len(w)}, expected {n}")
-        for idx, ch in enumerate(w):
-            if ch not in PAULI_LETTERS:
-                raise ValueError(f"invalid Pauli letter {ch!r} at index {idx} of {w!r}")
-        out.append(w)
+        out.append(word_to_bits(w))
     return out

@@ -26,6 +26,28 @@ def kron_word(word, phase=1.0):
     return phase * out
 
 
+# Letterwise products a*b -> (power of i, letter).  XY = iZ and cyclic,
+# reversed order picks up -i; identical letters square to I.
+_LETTER_MUL = {
+    ("I", "I"): (0, "I"), ("I", "X"): (0, "X"), ("I", "Y"): (0, "Y"), ("I", "Z"): (0, "Z"),
+    ("X", "I"): (0, "X"), ("Y", "I"): (0, "Y"), ("Z", "I"): (0, "Z"),
+    ("X", "X"): (0, "I"), ("Y", "Y"): (0, "I"), ("Z", "Z"): (0, "I"),
+    ("X", "Y"): (1, "Z"), ("Y", "Z"): (1, "X"), ("Z", "X"): (1, "Y"),
+    ("Y", "X"): (3, "Z"), ("Z", "Y"): (3, "X"), ("X", "Z"): (3, "Y"),
+}
+
+
+def letter_product(a, b):
+    """Reference word product, one letter at a time: (power of i, product word)."""
+    exp = 0
+    out = []
+    for la, lb in zip(a, b, strict=True):
+        d, lc = _LETTER_MUL[la, lb]
+        exp += d
+        out.append(lc)
+    return exp % 4, "".join(out)
+
+
 def compose_pulses(n, pulses):
     """Unitary of a pulse sequence by one dense matmul per pulse, first pulse rightmost.
 

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -123,6 +124,16 @@ class TestClosure:
         assert out == ""
         assert "exceeds" in err
 
+    def test_non_hermitian_generator_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "closure", "--n", "2", "--gen", "iXX")
+        assert code == 2
+        assert out == ""
+        assert "iXX" in err and "Hermitian" in err
+
+    def test_negated_generator_is_accepted(self, capsys):
+        payload = run_json(capsys, "closure", "--n", "2", "--gen=-XX")
+        assert payload["basis"] == ["XX"]
+
 
 class TestSchedule:
     def test_empty_schedule_is_identity(self, capsys, tmp_path):
@@ -191,6 +202,17 @@ class TestSchedule:
         )
         assert code == 0
         assert "member=True" in out
+
+    def test_table_residuals_match_json(self, capsys):
+        argv = ("schedule", "--random", "60", "--n", "4", "--bus", "I,II", "--seed", "1")
+        payload = run_json(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--output", "table")
+        assert code == 0
+        assert dict(re.findall(r"(\w+_residual)=([^\s)]+)", out)) == {
+            "unitarity_residual": f"{payload['unitarity_residual']:.3e}",
+            "membership_residual": f"{payload['membership_residual']:.3e}",
+            "orthogonality_residual": f"{payload['rotation']['orthogonality_residual']:.3e}",
+        }
 
 
 class TestScheduleInputErrors:

@@ -33,6 +33,43 @@ def random_sum(rng, n, nterms):
     return PauliSum(n, terms)
 
 
+class TestStringOrder:
+    # Bit order (qubit 0 most significant) sorts these ZI, IY, XZ, YX.
+    WORDS = ("ZI", "IY", "XZ", "YX")
+
+    def test_api_is_in_word_string_order(self):
+        s = PauliSum(2, {w: float(i + 1) for i, w in enumerate(self.WORDS)})
+        want = ["IY", "XZ", "YX", "ZI"]
+        assert s.words() == want
+        assert s.items() == [("IY", 2), ("XZ", 3), ("YX", 4), ("ZI", 1)]
+        assert [t["word"] for t in s.to_json_dict()["terms"]] == want
+        assert str(s) == "(2+0i)*IY + (3+0i)*XZ + (4+0i)*YX + (1+0i)*ZI"
+        assert repr(s) == (
+            "PauliSum(n=2, terms={'IY': (2+0j), 'XZ': (3+0j), 'YX': (4+0j), 'ZI': (1+0j)})"
+        )
+
+    def test_products_are_in_word_string_order(self):
+        got = PauliSum(2, {"ZI": 1.0}) @ PauliSum(2, {w: 1.0 for w in self.WORDS})
+        assert got.words() == ["II", "XX", "YZ", "ZY"]
+
+    def test_coeff(self):
+        s = PauliSum(2, {w: float(i + 1) for i, w in enumerate(self.WORDS)})
+        assert s.coeff("ZI") == 1
+        assert s.coeff("YX") == 4
+        assert s.coeff("II") == 0j
+        assert s.coeff("XX") == 0j
+        assert s.coeff("Z") == 0j
+        assert PauliSum.zero(2).coeff("ZI") == 0j
+
+    def test_traceless(self):
+        s = PauliSum(2, {"II": 3.0, "ZI": 1.0, "IY": -2.0})
+        assert s.traceless() == PauliSum(2, {"ZI": 1.0, "IY": -2.0})
+        assert s.traceless().coeff("II") == 0j
+        assert PauliSum.identity(2).traceless() == PauliSum.zero(2)
+        no_identity = PauliSum(2, {"XZ": 1.0})
+        assert no_identity.traceless() is no_identity
+
+
 class TestArithmetic:
     def test_add_cancels_to_zero(self):
         x = PauliSum(1, {"X": 1.0})

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinchain import (
     DimensionMismatchError,
@@ -12,8 +14,19 @@ from spinchain import (
     commutator,
     parse_pauli,
 )
+from spinchain.pauli import bits_product, bits_to_word, word_product, word_to_bits
 
-from oracles import kron_word, random_word
+from oracles import kron_word, letter_product, random_word
+
+PHASES = (1, 1j, -1, -1j)
+
+
+def words(n):
+    return st.text(alphabet="IXYZ", min_size=n, max_size=n)
+
+
+def word_pairs(max_n):
+    return st.integers(1, max_n).flatmap(lambda n: st.tuples(words(n), words(n)))
 
 
 class TestProducts:
@@ -58,6 +71,60 @@ class TestProducts:
             PauliString("X") * PauliString("XX")
         with pytest.raises(DimensionMismatchError):
             PauliString("X").commutes_with(PauliString("XX"))
+
+
+class TestBitsProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(word_pairs(64), st.sampled_from(PHASES), st.sampled_from(PHASES))
+    def test_agrees_with_letter_table(self, pair, pa, pb):
+        a, b = pair
+        exp, word = letter_product(a, b)
+        e, (x, z) = bits_product(word_to_bits(a), word_to_bits(b))
+        assert (e, bits_to_word(x, z, len(a))) == (exp, word)
+        assert word_product(a, b) == (exp, word)
+        assert PauliString(a, pa) * PauliString(b, pb) == PauliString(word, pa * pb * PHASES[exp])
+
+    @settings(max_examples=200, deadline=None)
+    @given(word_pairs(4))
+    def test_agrees_with_dense_products(self, pair):
+        a, b = pair
+        e, (x, z) = bits_product(word_to_bits(a), word_to_bits(b))
+        want = kron_word(a) @ kron_word(b)
+        assert np.array_equal(kron_word(bits_to_word(x, z, len(a)), PHASES[e]), want)
+
+
+class TestWordBits:
+    def test_qubit_zero_is_most_significant_bit(self):
+        assert word_to_bits("XI") == (2, 0)
+        assert word_to_bits("IZ") == (0, 1)
+        assert word_to_bits("YZI") == (4, 6)
+        assert bits_to_word(2, 0, 2) == "XI"
+        assert bits_to_word(4, 6, 3) == "YZI"
+        assert bits_to_word(0, 0, 3) == "III"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 200).flatmap(words))
+    def test_word_round_trip(self, word):
+        x, z = word_to_bits(word)
+        assert x < 2 ** len(word) and z < 2 ** len(word)
+        assert bits_to_word(x, z, len(word)) == word
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 200).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1), st.integers(0, 2**n - 1))
+    ))
+    def test_bits_round_trip(self, nxz):
+        n, x, z = nxz
+        word = bits_to_word(x, z, n)
+        assert len(word) == n
+        assert word_to_bits(word) == (x, z)
+
+    @pytest.mark.parametrize("bad", ["", "XQ", "I_X", " X", "+X", "-X", "0bX", "1X", "x", "X\ud800", "\u0660X"])
+    def test_rejects_other_letters(self, bad):
+        with pytest.raises(ValueError, match="not a nonempty word over IXYZ"):
+            word_to_bits(bad)
+        with pytest.raises(ValueError):
+            PauliString(bad)
 
 
 class TestCommutation:
