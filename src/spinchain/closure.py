@@ -2,20 +2,18 @@
 
 The Lie algebra generated by a set S is spanned by the right-normed
 brackets [s_k, ..., [s_1, s_0]] of its members (Wiersema et al.,
-arXiv:2309.05690), so a span that holds S and is closed under ad_s for
-every s in S is the whole algebra.  Both engines run that one frontier
-loop: the elements found in a round form the next frontier, each is
-bracketed only with the input generators, and the loop ends when a
-round adds nothing, or raises ResourceLimitError once the span outgrows
-MAX_CLOSURE_DIMENSION (4^9 - 1, the universal algebra at n = 9).
+arXiv:2309.05690).  One word loop realises that: the words found in a
+round form the next frontier and are multiplied only by the generator
+words they anticommute with, until a round adds nothing.  Past
+MAX_CLOSURE_DIMENSION words (4^9 - 1, su(2^9)) it raises ResourceLimitError.
 
-- closure_strings works on phase-free Pauli words.  The real span of
-  {i*w : w in a word set} is closed under commutation iff the set is
-  closed under products of anticommuting pairs, and such products never
-  land on the identity word, so the fixpoint set is itself a basis.
-- closure_general works on Hermitian PauliSums via rank-tracked
-  Gram-Schmidt over the word-coefficient space, for generator sets that
-  are not single words (e.g. the hopping/pairing bilinears).
+- closure_strings returns that word set: the real span of {i*w} is closed
+  under commutation iff the set is closed under anticommuting products,
+  which never give the identity, so the set is itself a basis.
+- closure_general closes Hermitian PauliSums (e.g. the hopping/pairing
+  bilinears).  Their brackets stay in the span of the string closure of
+  their words, so it runs the same frontier over that fixed index with
+  numpy linear algebra: sparse generator actions and rank tracking.
 
 Classification is by dimension only: the labels name the algebra whose
 dimension formula matches, and are not a proof of isomorphism type.
@@ -26,8 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .operators import PauliSum
-from .pauli import ResourceLimitError, bits_to_word, words_to_bits
+from .pauli import ResourceLimitError, bits_product, bits_to_word, word_to_bits, words_to_bits
 
 MAX_CLOSURE_DIMENSION = 4**9 - 1
 
@@ -96,21 +96,8 @@ def _report(n: int, dim: int, rounds: int, gen_count: int, basis=None) -> Closur
     return ClosureReport(n, dim, classify_dimension(n, dim), rounds, dim * gen_count, basis)
 
 
-def closure_strings(n: int, generators: Iterable[str]) -> ClosureReport:
-    """Close a set of Pauli words under products of anticommuting pairs.
-
-    Each frontier word is multiplied by every generator it anticommutes
-    with; unseen products form the next frontier.  The identity word is
-    rejected as input (it cannot arise from commutators and would break
-    the dimension count).  Output basis is sorted and independent of
-    generator order.
-    """
-    gens = words_to_bits(n, sorted(set(generators)))
-    if not gens:
-        raise ValueError("generator set must be nonempty")
-    if (0, 0) in gens:
-        raise ValueError("the identity word is not a valid closure generator")
-
+def _word_closure(n: int, gens: list[tuple[int, int]]) -> tuple[set[tuple[int, int]], int]:
+    """The frontier loop over bit-encoded words: (closed word set, rounds)."""
     known = set(gens)
     frontier = gens
     rounds = 0
@@ -128,30 +115,39 @@ def closure_strings(n: int, generators: Iterable[str]) -> ClosureReport:
                         new.append(key)
             _check_budget(n, len(known))
         frontier = new
+    return known, rounds
 
+
+def closure_strings(n: int, generators: Iterable[str]) -> ClosureReport:
+    """Close a set of Pauli words under products of anticommuting pairs.
+
+    The identity word is rejected as input (it cannot arise from
+    commutators and would break the dimension count).  Output basis is
+    sorted and independent of generator order.
+    """
+    gens = words_to_bits(n, sorted(set(generators)))
+    if not gens:
+        raise ValueError("generator set must be nonempty")
+    if (0, 0) in gens:
+        raise ValueError("the identity word is not a valid closure generator")
+    known, rounds = _word_closure(n, gens)
     basis = tuple(sorted(bits_to_word(x, z, n) for x, z in known))
     return _report(n, len(basis), rounds, len(gens), basis)
 
 
-def _inner(a: PauliSum, b: PauliSum) -> float:
-    # Real coefficients throughout (Hermitian inputs, i*[A,B] brackets).
-    small, big = (a._terms, b._terms) if len(a) <= len(b) else (b._terms, a._terms)
-    return sum(c.real * big.get(k, 0j).real for k, c in small.items())
-
-
-def closure_general(
-    n: int, generators: Sequence[PauliSum], tol: float = 1e-9
-) -> ClosureReport:
+def closure_general(n: int, generators: Sequence[PauliSum], tol: float = 1e-9) -> ClosureReport:
     """Rank-tracked closure of Hermitian PauliSums under C = i*[G, V].
 
-    Maintains an orthonormal real basis of the span in the word
-    coefficient space, projecting each candidate against the basis
-    (re-orthogonalized once) and keeping residuals with norm above tol.
-    Each new basis vector V is bracketed with every generator G.  The
-    identity component of every element is projected out first: the
-    bracket never produces it and keeping it would count the global
-    phase direction as a dimension.  A span larger than 4^n - 1 can
-    only come from rounding error passing tol, and raises ValueError.
+    Coordinates are the string closure of the generators' non-identity
+    words; a generator term c*W with W*U = i^e K, e odd, maps coordinate
+    U to 2(e-2)*c on K.  The identity direction is dropped: brackets never
+    produce it.  Each new basis vector is bracketed with every generator;
+    a bracket is projected out of the orthonormal basis twice and kept
+    when its residual norm exceeds tol, an absolute threshold.  The index
+    counts against MAX_CLOSURE_DIMENSION, so a job whose word closure
+    passes it raises ResourceLimitError however small its span.  A span
+    larger than the index can only come from rounding error passing tol,
+    and raises ValueError.
     """
     if not 0 < tol < float("inf"):
         raise ValueError("tol must be positive and finite")
@@ -165,39 +161,50 @@ def closure_general(
         if not g.is_hermitian:
             raise ValueError("closure generators must be Hermitian (real coefficients)")
 
-    basis: list[PauliSum] = []
+    terms = [[(word_to_bits(w), c.real) for w, c in g.traceless().items()] for g in generators]
+    known, _ = _word_closure(n, sorted({k for t in terms for k, _ in t}))
+    index = {k: i for i, k in enumerate(sorted(known))}
+    size = len(index)
+    actions = []
+    for t in terms:
+        entries = [(index[k], col, 2 * (e - 2) * c) for w, c in t for u, col in index.items()
+                   for e, k in [bits_product(w, u)] if e & 1]
+        rows, cols, vals = np.array(entries).reshape(-1, 3).T
+        actions.append((rows.astype(np.intp), cols.astype(np.intp), vals))
 
-    def try_add(candidate: PauliSum) -> None:
-        v = candidate.traceless()
+    basis = np.empty((1, size))
+    dim = 0
+
+    def try_add(v: np.ndarray) -> None:
+        nonlocal basis, dim
+        q = basis[:dim]
         for _ in range(2):
-            for b in basis:
-                c = _inner(v, b)
-                if c:
-                    v = v - c * b
-        nrm = v.norm()
+            v = v - (q @ v) @ q
+        nrm = np.sqrt(v @ v)
         if nrm > tol:
-            basis.append((1.0 / nrm) * v)
+            if dim == size:
+                raise ValueError(f"closure at n={n} exceeds its {size}-word index: rounding "
+                                 f"error passed tol={tol:g}; retry with a larger tol")
+            if dim == len(basis):
+                basis = np.concatenate([basis, np.empty_like(basis)])
+            basis[dim] = v / nrm
+            dim += 1
 
-    for g in generators:
-        try_add(g)
+    for t in terms:
+        v = np.zeros(size)
+        for w, c in t:
+            v[index[w]] = c
+        try_add(v)
 
-    frontier = list(basis)
-    rounds = 0
-    while frontier:
+    start = rounds = 0
+    while start < dim:
         rounds += 1
-        start = len(basis)
+        frontier, start = basis[start:dim], dim
         for v in frontier:
-            for g in generators:
-                try_add(1j * g.commutator(v))
-            _check_budget(n, len(basis))
-            if len(basis) > 4**n - 1:
-                raise ValueError(
-                    f"closure at n={n} exceeds 4^n - 1 = {4**n - 1} elements: "
-                    f"rounding error passed tol={tol:g}; retry with a larger tol"
-                )
-        frontier = basis[start:]
+            for rows, cols, vals in actions:
+                try_add(np.bincount(rows, weights=vals * v[cols], minlength=size))
 
-    return _report(n, len(basis), rounds, len(generators))
+    return _report(n, dim, rounds, len(generators))
 
 
 def check_universality(n: int, generators: Iterable[str]) -> UniversalityResult:

@@ -19,7 +19,6 @@ sum of two full products.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -196,10 +195,6 @@ class PauliSum:
     def max_coeff(self) -> float:
         """Largest coefficient magnitude; 0.0 for the zero operator."""
         return max((abs(c) for c in self._terms.values()), default=0.0)
-
-    def norm(self) -> float:
-        """Euclidean norm of the coefficient vector."""
-        return math.sqrt(sum(abs(c) ** 2 for c in self._terms.values()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliSum):

@@ -115,10 +115,6 @@ class PauliString:
         """True iff the phase is real (the bare word is always Hermitian)."""
         return self.phase_exp in (0, 2)
 
-    @property
-    def is_identity_word(self) -> bool:
-        return set(self.letters) <= {"I"}
-
     def dagger(self) -> "PauliString":
         """Hermitian conjugate: same word, conjugated phase."""
         return PauliString._make(self.letters, -self.phase_exp)

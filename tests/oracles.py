@@ -3,12 +3,18 @@
 Everything here builds matrices from literal 2x2 Paulis and numpy only,
 and words from its own bit encoding, deliberately bypassing the
 package's own dense backend and closure engines, so agreement between
-the two is a real cross-check and not a tautology.
+the two is a real cross-check and not a tautology.  The exception is
+closure_general_gram_schmidt, the earlier general closure engine, kept
+as the reference for the one in the package: it does its Gram-Schmidt
+with PauliSum arithmetic instead of numpy rows over a word index.
 """
 
 import itertools
+import math
 
 import numpy as np
+
+from spinchain import ClosureReport, classify_dimension
 
 SIGMA = {
     "I": np.eye(2, dtype=complex),
@@ -198,3 +204,51 @@ def closure_strings_all_pairs(n, words):
         known.update(new)
         frontier = sorted(new.values())
     return tuple(sorted(known.values()))
+
+
+def _inner(a, b):
+    # Real coefficients throughout (Hermitian inputs, i*[A,B] brackets).
+    small, big = (a._terms, b._terms) if len(a) <= len(b) else (b._terms, a._terms)
+    return sum(c.real * big.get(k, 0j).real for k, c in small.items())
+
+
+def closure_general_gram_schmidt(n, generators, tol=1e-9):
+    """Rank-tracked closure of Hermitian PauliSums under C = i*[G, V].
+
+    The same frontier as spinchain.closure_general, but the basis is a
+    list of PauliSums: each candidate is projected against every basis
+    vector (re-orthogonalized once) with PauliSum arithmetic, which
+    prunes coefficients below PRUNE_TOLERANCE at every step, and kept
+    when its residual norm exceeds tol.  O(dim^2) sum operations; a span
+    past 4^n - 1 raises ValueError.
+    """
+    basis = []
+
+    def try_add(candidate):
+        v = candidate.traceless()
+        for _ in range(2):
+            for b in basis:
+                c = _inner(v, b)
+                if c:
+                    v = v - c * b
+        nrm = math.sqrt(sum(abs(c) ** 2 for c in v._terms.values()))
+        if nrm > tol:
+            basis.append((1.0 / nrm) * v)
+
+    for g in generators:
+        try_add(g)
+
+    frontier = list(basis)
+    rounds = 0
+    while frontier:
+        rounds += 1
+        start = len(basis)
+        for v in frontier:
+            for g in generators:
+                try_add(1j * g.commutator(v))
+            if len(basis) > 4**n - 1:
+                raise ValueError(f"closure at n={n} exceeds 4^n - 1 = {4**n - 1} elements")
+        frontier = basis[start:]
+
+    dim = len(basis)
+    return ClosureReport(n, dim, classify_dimension(n, dim), rounds, dim * len(generators))

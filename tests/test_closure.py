@@ -22,7 +22,14 @@ from spinchain import (
 )
 from spinchain import closure as closure_mod
 
-from oracles import closure_strings_all_pairs, dense_lie_rank, dense_of_terms, kron_word, random_word
+from oracles import (
+    closure_general_gram_schmidt,
+    closure_strings_all_pairs,
+    dense_lie_rank,
+    dense_of_terms,
+    kron_word,
+    random_word,
+)
 
 
 def bus_words(n, ids):
@@ -272,6 +279,60 @@ def test_ill_conditioned_general_closure_never_exceeds_su():
     assert closure_general(3, gens, tol=1e-7).dimension == 4**3 - 1
 
 
+# The ill-conditioned n = 3 set above (dense rank 63), for the tests below.
+ILL_CONDITIONED = (
+    {"ZII": -0.06063397359894651, "IZI": 0.1968163749699181, "XYX": -0.5100009185920025},
+    {"IXI": -0.018844070747454422, "ZYI": -0.04119820227668969, "IYY": 0.22683090028656605,
+     "YYX": -0.24300478391841462, "YZI": 0.26545749168767774},
+)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-12, 1e-7])
+def test_ill_conditioned_general_closure_is_su_at_every_tol(tol):
+    gens = [PauliSum(3, terms) for terms in ILL_CONDITIONED]
+    report = closure_general(3, gens) if tol is None else closure_general(3, gens, tol=tol)
+    assert report.dimension == 4**3 - 1
+
+
+def test_general_closure_tol_is_absolute():
+    # Scaling the generators by 1e9 scales every residual, rounding error included.
+    gens = [PauliSum(3, {w: 1e9 * c for w, c in terms.items()}) for terms in ILL_CONDITIONED]
+    with pytest.raises(ValueError, match="63-word index.*tol="):
+        closure_general(3, gens)
+    assert closure_general(3, gens, tol=1.0).dimension == 4**3 - 1
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_general_closure_of_all_bilinears_closed_form(n):
+    report = closure_general(n, all_bilinears(n))
+    assert report.dimension == 2 * n * n - n
+    assert report.label == "so(2n)"
+
+
+@st.composite
+def hermitian_sums(draw):
+    n = draw(st.integers(1, 4))
+    word = st.text("IXYZ", min_size=n, max_size=n)
+    # Dyadic coefficients: the oracle prunes every Gram-Schmidt step at
+    # PRUNE_TOLERANCE and loses orthogonality on some ill-conditioned sets.
+    coeff = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+    terms = st.dictionaries(word, coeff, min_size=1, max_size=4)
+    return n, [PauliSum(n, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(hermitian_sums())
+def test_general_closure_matches_gram_schmidt_oracle(case):
+    n, gens = case
+    report = closure_general(n, gens)
+    reference = closure_general_gram_schmidt(n, gens)
+    assert (report.dimension, report.label, report.rounds, report.pairs_processed) == (
+        reference.dimension, reference.label, reference.rounds, reference.pairs_processed)
+    if n <= 3:
+        mats = [dense_of_terms(n, g.items()) for g in gens]
+        assert report.dimension == dense_lie_rank(mats)
+
+
 class TestClosureBudget:
     def test_default_budget_is_universal_n9(self):
         assert closure_mod.MAX_CLOSURE_DIMENSION == 4**9 - 1
@@ -288,6 +349,15 @@ class TestClosureBudget:
         monkeypatch.setattr(closure_mod, "MAX_CLOSURE_DIMENSION", 14)
         with pytest.raises(ResourceLimitError):
             closure_general(3, all_bilinears(3))
+
+    def test_general_closure_budget_counts_the_word_index(self, monkeypatch):
+        # One generator spans 1 dimension; its words close to {X, Y, Z} on two qubits.
+        gens = [PauliSum(3, {"XII": 1.0, "ZII": 1.0, "IXI": 1.0, "IZI": 1.0})]
+        monkeypatch.setattr(closure_mod, "MAX_CLOSURE_DIMENSION", 5)
+        with pytest.raises(ResourceLimitError, match="exceeds 5"):
+            closure_general(3, gens)
+        monkeypatch.setattr(closure_mod, "MAX_CLOSURE_DIMENSION", 6)
+        assert closure_general(3, gens).dimension == 1
 
     def test_one_error_type_across_modules(self):
         assert spinchain.ResourceLimitError is spinchain.dense.ResourceLimitError
