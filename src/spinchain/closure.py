@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .operators import PauliSum
-from .pauli import ResourceLimitError, bits_product, bits_to_word, word_to_bits, words_to_bits
+from .pauli import ResourceLimitError, bits_product, bits_to_word, words_to_bits
 
 MAX_CLOSURE_DIMENSION = 4**9 - 1
 
@@ -161,7 +161,7 @@ def closure_general(n: int, generators: Sequence[PauliSum], tol: float = 1e-9) -
         if not g.is_hermitian:
             raise ValueError("closure generators must be Hermitian (real coefficients)")
 
-    terms = [[(word_to_bits(w), c.real) for w, c in g.traceless().items()] for g in generators]
+    terms = [[(k, c.real) for k, c in sorted(g.traceless().bit_items())] for g in generators]
     known, _ = _word_closure(n, sorted({k for t in terms for k, _ in t}))
     index = {k: i for i, k in enumerate(sorted(known))}
     size = len(index)

@@ -1,23 +1,21 @@
 """Dense 2^n x 2^n realization: matrices, pulses, schedules, rotations.
 
-Everything here is plain numpy.  A Pauli word is a signed permutation
-matrix, W[c ^ flip, c] = phase[c], and every word matrix goes through
-that one action: word matrices and to_matrix are scattered from it, a
-pulse exp(i t W) updates a schedule's U as cos(t) U + i sin(t) W U in
-O(4^n) instead of an O(8^n) matmul, and conjugating a frame word costs
-one matmul, U (g_a U+).  Unitaries produced from pulse schedules can be
-read back as rotations of a (2n+1)-dimensional sphere: one Pauli
-transform per conjugated frame word gives a column of the real matrix R
-with U g_a U+ = sum_b R[b][a] g_b and the word's leak out of the frame's
-span.  Membership in the group generated by buses I and II is decided a
-posteriori from that readout: the leak must vanish and R must be special
-orthogonal.
+Plain numpy on one rule over pauli's word bits, qubit 0 the top bit:
+W(x, z)[c ^ x, c] = i^|x&z| (-1)^|c&z| (Aaronson & Gottesman,
+arXiv:quant-ph/0406196).  With a cached table of |a&b| mod 4 it gives
+words as signed permutations, Pauli coefficients as a table [x, z] (a
+gather and one +-1 sign-matrix product, O(8^n) under the n <= 8 cap)
+and to_matrix, whose sign product covers only the x a sum uses: O(4^n)
+per word, O(8^n) for a full sum.  A pulse exp(i t W) takes U to
+cos(t) U + i sin(t) W U in O(4^n).  The table of U g_a U+ gives column
+a of R, U g_a U+ = sum_b R[b][a] g_b, and the leak out of the frame's
+span; U is in the group of buses I and II iff the leak vanishes and R
+is special orthogonal.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -32,14 +30,7 @@ N_MAX_PIPELINE = 8
 # Longest schedule accepted; each pulse costs O(4^n) when composed.
 MAX_SCHEDULE_PULSES = 10**5
 
-_SIGMA = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-# Row p maps a qubit's (row bit, column bit) block to trace(sigma_p @ block) / 2.
-_PAULI_TRANSFORM = np.array([s.T.reshape(4) for s in _SIGMA.values()]) / 2
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 def _check_n(n: int) -> None:
@@ -47,32 +38,32 @@ def _check_n(n: int) -> None:
         raise ResourceLimitError(f"n={n} exceeds the dense limit of {N_MAX_PIPELINE} qubits")
 
 
-_Y_PHASES = (1, 1j, -1, -1j)
+@functools.lru_cache(maxsize=None)
+def _overlaps(n: int) -> np.ndarray:
+    """Read-only int8 table of |a & b| mod 4 over all n-bit pairs, bit-folded for numpy < 2."""
+    bits = np.arange(2**n)
+    table = (sum(np.outer(bits >> k & 1, bits >> k & 1) for k in range(n)) & 3).astype(np.int8)
+    table.flags.writeable = False
+    return table
 
 
-def _word_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
-    """A Pauli word as a signed permutation: W[rows[c], c] = phase[c].
+def _sign_product(n: int, a: np.ndarray) -> np.ndarray:
+    """S @ a for the sign matrix S[b, c] = (-1)^|b&c| and a complex a, in one real product."""
+    return ((1.0 - 2 * (_overlaps(n) & 1)) @ a.view(float)).view(complex)
 
-    With (flip, zmask) = pauli.word_to_bits(letters), whose qubit 0 is
-    the most significant bit as in the kron order, rows[c] = c ^ flip and
-    the phase is i^#Y (-1)^popcount(c & zmask) with #Y = |flip & zmask|
-    (Aaronson & Gottesman, arXiv:quant-ph/0406196).
-    """
-    cols = np.arange(2 ** len(letters))
-    flip, zmask = word_to_bits(letters)
-    parity = np.zeros_like(cols)
-    for bit in range(zmask.bit_length()):
-        if zmask >> bit & 1:
-            parity ^= cols >> bit
-    return cols ^ flip, _Y_PHASES[(flip & zmask).bit_count() % 4] * (1 - 2 * (parity & 1))
+
+def _word_action(x: int, z: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """W(x, z) as W[rows[c], c] = phase[c]: rows[c] = c ^ x, phase[c] = i^(|x&z| + 2|c&z|)."""
+    overlaps = _overlaps(n)
+    return np.arange(2**n) ^ x, _I_POWERS[(overlaps[x, z] + 2 * overlaps[:, z]) & 3]
 
 
 def to_matrix(op: Union[str, PauliString, PauliSum], n: int | None = None) -> np.ndarray:
     """Kronecker-product realization of a word, string, or sum.
 
     sigma_x = [[0,1],[1,0]], sigma_y = [[0,-i],[i,0]], sigma_z =
-    [[1,0],[0,-1]]; qubit 0 is the leftmost factor.  Each term writes its
-    2^n nonzero entries straight from the word's signed permutation.
+    [[1,0],[0,-1]]; qubit 0 is the leftmost factor.  The terms with bits
+    (x, z) fill the diagonal c -> c ^ x with sum_z coeff i^|x&z| (-1)^|c&z|.
     """
     if isinstance(op, str):
         op = PauliString(op)
@@ -83,25 +74,23 @@ def to_matrix(op: Union[str, PauliString, PauliSum], n: int | None = None) -> np
     if n is not None and n != op.n:
         raise ValueError(f"operator acts on {op.n} qubits, got n={n}")
     _check_n(op.n)
-    cols = np.arange(2**op.n)
+    terms = op.bit_items()
+    xs, zs = np.array([k for k, _ in terms], dtype=np.intp).reshape(-1, 2).T
+    used, slot = np.unique(xs, return_inverse=True)
+    weights = np.zeros((2**op.n, used.size), dtype=complex)  # [z, slot of x]
+    weights[zs, slot] = np.array([c for _, c in terms]) * _I_POWERS[_overlaps(op.n)[xs, zs]]
+    cols = np.arange(2**op.n)[:, None]
     out = np.zeros((cols.size, cols.size), dtype=complex)
-    for w, c in op.items():
-        rows, phase = _word_action(w)
-        out[rows, cols] += c * phase
+    out[cols ^ used, cols] = _sign_product(op.n, weights)  # [c, slot of x]
     return out
 
 
-def _pauli_coefficients(mat: np.ndarray, n: int) -> np.ndarray:
-    """trace(W @ mat) / 2^n for all 4^n words W in lexicographic order.
-
-    One 4x4 transform per qubit on its (row bit, column bit) pair, O(n 4^n)
-    in all (Hantzko, Binkowski & Gupta, arXiv:2310.13421).
-    """
-    interleaved = [axis for k in range(n) for axis in (k, n + k)]
-    x = mat.reshape((2,) * (2 * n)).transpose(interleaved).reshape(-1)
-    for k in range(n):
-        x = np.matmul(_PAULI_TRANSFORM, x.reshape(4**k, 4, -1))
-    return x.reshape(-1)
+def _pauli_table(mat: np.ndarray, n: int) -> np.ndarray:
+    """Table [x, z] of trace(W(x, z) @ mat) / 2^n = i^|x&z| sum_c (-1)^|c&z| mat[c, c ^ x] / 2^n."""
+    cols = np.arange(2**n)[:, None]
+    table = _sign_product(n, mat[cols, cols ^ cols.T])  # [z, x] from the diagonals [c, x]
+    table *= (_I_POWERS / 2**n)[_overlaps(n)]
+    return table.T
 
 
 def pauli_decompose(mat: np.ndarray) -> PauliSum:
@@ -120,8 +109,9 @@ def pauli_decompose(mat: np.ndarray) -> PauliSum:
     _check_n(n)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
-    words = ("".join(letters) for letters in itertools.product("IXYZ", repeat=n))
-    return PauliSum(n, zip(words, _pauli_coefficients(mat, n).tolist()))
+    table = _pauli_table(mat, n)
+    xs, zs = np.nonzero(table)
+    return PauliSum.from_bits(n, dict(zip(zip(xs.tolist(), zs.tolist()), table[xs, zs].tolist())))
 
 
 PulseGenerator = Union[GeneratorRef, PauliString, PauliSum, str]
@@ -143,11 +133,13 @@ def _resolve_generator(gen: PulseGenerator, n: int | None):
     raise TypeError(f"cannot interpret {type(gen).__name__} as a pulse generator")
 
 
-def _hermitian_sign(word: PauliString) -> float:
-    """The +1 or -1 phase of a Hermitian word; other phases cannot drive a pulse."""
+def _pulse_action(word: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """i W for a Hermitian word W, as _word_action gives W; other phases cannot drive a pulse."""
     if not word.is_hermitian:
         raise ValueError(f"pulse generator {word} is not Hermitian")
-    return word.phase.real
+    _check_n(word.n)
+    rows, phase = _word_action(*word_to_bits(word.letters), word.n)
+    return rows, 1j * word.phase.real * phase
 
 
 def exp_pulse(gen: PulseGenerator, theta: float, n: int | None = None) -> np.ndarray:
@@ -160,9 +152,10 @@ def exp_pulse(gen: PulseGenerator, theta: float, n: int | None = None) -> np.nda
     """
     op = _resolve_generator(gen, n)
     if isinstance(op, PauliString):
-        _hermitian_sign(op)
-        word = to_matrix(op)
-        return np.cos(theta) * np.eye(word.shape[0]) + 1j * np.sin(theta) * word
+        rows, phase = _pulse_action(op)
+        out = np.cos(theta) * np.eye(rows.size, dtype=complex)
+        out[rows, np.arange(rows.size)] += np.sin(theta) * phase
+        return out
     if not op.is_hermitian:
         raise ValueError("pulse generator must be Hermitian")
     evals, evecs = np.linalg.eigh(to_matrix(op))
@@ -217,10 +210,6 @@ class PulseSchedule:
             raise ValueError(f"malformed schedule payload: {exc}") from exc
         return cls(n=n, pulses=pulses)
 
-    @classmethod
-    def from_json(cls, text: str) -> "PulseSchedule":
-        return cls.from_json_dict(json.loads(text))
-
 
 def run_schedule(schedule: PulseSchedule) -> np.ndarray:
     """Compose a schedule into a unitary; the first pulse is the rightmost factor.
@@ -237,10 +226,8 @@ def run_schedule(schedule: PulseSchedule) -> np.ndarray:
     actions = {}
     for ref, theta in schedule.pulses:
         if ref not in actions:
-            word = ref.resolve()
-            sign = _hermitian_sign(word)
-            rows, phase = _word_action(word.letters)
-            actions[ref] = rows, (1j * sign * phase[rows])[:, None]
+            rows, phase = _pulse_action(ref.resolve())
+            actions[ref] = rows, phase[rows, None]
         rows, row_phase = actions[ref]
         np.take(u, rows, axis=0, out=wu)
         wu *= np.sin(theta) * row_phase
@@ -290,17 +277,16 @@ def _frame_readout(u: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, float
         raise ValueError(f"U has shape {u.shape}, expected {(2**n, 2**n)} for n={n}")
     if not unitarity_residual(u) <= tol:
         raise ValueError("input matrix is not unitary within tolerance")
-    frame_words = [g.letters for g in gamma_frame(n)]
-    index = [int(w.translate(str.maketrans("IXYZ", "0123")), 4) for w in frame_words]
-    r = np.empty((len(frame_words), len(frame_words)))
+    fx, fz = np.array([word_to_bits(g.letters) for g in gamma_frame(n)]).T
+    r = np.empty((fx.size, fx.size))
     leak = 0.0
     u_dagger = u.conj().T
-    for a, w in enumerate(frame_words):
-        rows, phase = _word_action(w)
-        coeffs = _pauli_coefficients(u @ (phase[rows, None] * u_dagger[rows]), n)
-        r[:, a] = coeffs[index].real
-        coeffs[index] = 0
-        leak = max(leak, float(np.max(np.abs(coeffs))))
+    for a, (x, z) in enumerate(zip(fx.tolist(), fz.tolist())):
+        rows, phase = _word_action(x, z, n)
+        table = _pauli_table(u @ (phase[rows, None] * u_dagger[rows]), n)
+        r[:, a] = table[fx, fz].real
+        table[fx, fz] = 0
+        leak = max(leak, float(np.max(np.abs(table))))
     return r, leak
 
 

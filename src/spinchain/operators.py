@@ -3,10 +3,11 @@
 A PauliSum maps phase-free words to complex coefficients; string phases
 arising from products are folded into the coefficients.  Terms are keyed
 by the words' symplectic bits (pauli.word_to_bits, qubit 0 the most
-significant bit) and multiplied by pauli.bits_product; words as strings
-remain the API, JSON and sort form.  All constructions here (ladder
-operators, anticommutation checks, bilinears) use dyadic coefficients,
-so the symbolic identities they satisfy hold exactly in floating point.
+significant bit), multiplied by pauli.bits_product and exchanged as bits
+by from_bits / bit_items; words as strings remain the API, JSON and sort
+form.  All constructions here (ladder operators, anticommutation checks,
+bilinears) use dyadic coefficients, so the symbolic identities they
+satisfy hold exactly in floating point.
 
 Word products a*b = i^e c of Hermitian words reverse as b*a = i^-e c, so
 the phase exponent e alone decides each bracket.  ``@``, ``commutator``
@@ -67,24 +68,19 @@ class PauliSum:
         folded: dict[str, complex] = {}
         for word, coeff in items:
             folded[word] = folded.get(word, 0j) + complex(coeff)
-        keys = words_to_bits(n, folded)
-        for word, coeff in folded.items():
-            if not cmath.isfinite(coeff):
-                raise ValueError(f"coefficient of {word!r} is not finite: {coeff!r}")
-        self._store(n, dict(zip(keys, folded.values())))
-
-    def _store(self, n: int, terms: dict[tuple[int, int], complex]) -> None:
-        """Set n and the bit-keyed terms; the one place coefficients are pruned."""
+        checked = PauliSum.from_bits(n, dict(zip(words_to_bits(n, folded), folded.values())))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", {k: c for k, c in terms.items() if abs(c) >= PRUNE_TOLERANCE})
+        object.__setattr__(self, "_terms", checked._terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("PauliSum is immutable")
 
     @classmethod
     def _from_dict(cls, n: int, terms: dict[tuple[int, int], complex]) -> "PauliSum":
+        """Sum of bit-keyed terms, unchecked; the one place coefficients are pruned."""
         obj = object.__new__(cls)
-        obj._store(n, terms)
+        object.__setattr__(obj, "n", n)
+        object.__setattr__(obj, "_terms", {k: c for k, c in terms.items() if abs(c) >= PRUNE_TOLERANCE})
         return obj
 
     @classmethod
@@ -99,6 +95,24 @@ class PauliSum:
     def from_pauli(cls, p: PauliString, coeff: complex = 1.0) -> "PauliSum":
         """Single-term sum; the string's phase is folded into the coefficient."""
         return cls(p.n, {p.letters: p.phase * coeff})
+
+    @classmethod
+    def from_bits(cls, n: int, terms: Mapping[tuple[int, int], complex]) -> "PauliSum":
+        """Sum of {(x, z): coefficient} over word_to_bits pairs, checked and pruned like __init__."""
+        if n < 1:
+            raise ValueError("n must be positive")
+        size = 2**n
+        out = {(x, z): complex(c) for (x, z), c in terms.items()}
+        for (x, z), c in out.items():
+            if not (0 <= x < size and 0 <= z < size):
+                raise ValueError(f"bits {(x, z)!r} are out of range for n={n}")
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient of {bits_to_word(x, z, n)!r} is not finite: {c!r}")
+        return cls._from_dict(n, out)
+
+    def bit_items(self) -> list[tuple[tuple[int, int], complex]]:
+        """Terms as ((x, z), coefficient), in no particular order."""
+        return list(self._terms.items())
 
     def items(self) -> list[tuple[str, complex]]:
         """Terms as (word, coefficient), sorted lexicographically."""

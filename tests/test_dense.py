@@ -105,6 +105,15 @@ class TestPauliDecompose:
         with pytest.raises(ValueError):
             pauli_decompose(np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_full_sums_round_trip_through_to_matrix(self, n):
+        # every one of the 4^n words carries a coefficient
+        rng = np.random.default_rng(300 + n)
+        m = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        s = pauli_decompose(m)
+        assert len(s) == 4**n
+        assert np.max(np.abs(to_matrix(s) - m)) <= 1e-12 * np.max(np.abs(m))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_non_finite_matrix_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
@@ -447,6 +456,26 @@ class TestWordAction:
         for w in all_words(2):
             want = np.cos(0.4) * np.eye(4) + 1j * np.sin(0.4) * kron_word(w)
             assert np.allclose(exp_pulse(PauliString(w), 0.4), want, rtol=0, atol=1e-15), w
+
+    def test_word_pulses_match_kronecker_exactly(self):
+        rng = random.Random(41)
+        words = all_words(3) + [random_word(rng, N_MAX_PIPELINE) for _ in range(12)]
+        for w in words:
+            for sign in (1, -1):
+                want = np.cos(0.7) * np.eye(2 ** len(w)) + 1j * np.sin(0.7) * kron_word(w, sign)
+                assert np.array_equal(exp_pulse(PauliString(w, sign), 0.7), want), (sign, w)
+
+    def test_cold_overlap_table_needs_no_numpy_2_bit_count(self, monkeypatch):
+        # The overlap table is cached: clear it so it is rebuilt without bitwise_count.
+        dense._overlaps.cache_clear()
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        for n in (1, 2, 3):
+            for w in all_words(n):
+                word = kron_word(w)
+                assert np.array_equal(to_matrix(w), word), w
+                assert pauli_decompose(word) == PauliSum(n, {w: 1.0}), w
+                want = np.cos(0.3) * np.eye(2**n) + 1j * np.sin(0.3) * word
+                assert np.array_equal(exp_pulse(PauliString(w), 0.3), want), w
 
     def test_needs_no_numpy_2_bit_count(self, monkeypatch):
         # numpy < 2.0 has no bitwise_count; the word phases must not rely on it

@@ -166,6 +166,37 @@ def test_products_and_brackets_match_dense_and_two_product_forms(case):
     assert (a.anticommutator(b) - (a @ b + b @ a)).max_coeff() < 1e-12
 
 
+@st.composite
+def sums(draw):
+    n = draw(st.integers(1, 6))
+    word = st.text("IXYZ", min_size=n, max_size=n)
+    coeff = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
+    return PauliSum(n, draw(st.dictionaries(word, coeff, max_size=8)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sums())
+def test_bit_items_round_trip_through_from_bits(s):
+    assert PauliSum.from_bits(s.n, dict(s.bit_items())) == s
+
+
+class TestFromBits:
+    @pytest.mark.parametrize("key", [(4, 0), (0, 4), (-1, 0), (0, -1)])
+    def test_bits_out_of_range_rejected(self, key):
+        with pytest.raises(ValueError, match="out of range"):
+            PauliSum.from_bits(2, {(1, 1): 1.0, key: 1.0})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf"))])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="'Z'.*not finite"):
+            PauliSum.from_bits(1, {(1, 0): 1.0, (0, 1): bad})
+
+    def test_prunes_like_the_constructor(self):
+        got = PauliSum.from_bits(1, {(1, 0): 1.0, (1, 1): 1e-15, (0, 1): operators.PRUNE_TOLERANCE})
+        assert got == PauliSum(1, {"X": 1.0, "Y": 1e-15, "Z": operators.PRUNE_TOLERANCE})
+        assert got.words() == ["X", "Z"]
+
+
 class TestInputValidation:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf"))])
     def test_non_finite_coefficient_names_the_word(self, bad):
