@@ -21,7 +21,9 @@ FLOAT_DECIMALS = 12
 
 def _round_floats(obj):
     if isinstance(obj, float):
-        return round(obj, FLOAT_DECIMALS)
+        # + 0.0 turns a rounded -0.0 into 0.0: the sign of a round-off
+        # zero depends on the order of float operations, not on the result.
+        return round(obj, FLOAT_DECIMALS) + 0.0
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

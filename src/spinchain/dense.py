@@ -7,10 +7,13 @@ words as signed permutations, Pauli coefficients as a table [x, z] (a
 gather and one +-1 sign-matrix product, O(8^n) under the n <= 8 cap)
 and to_matrix, whose sign product covers only the x a sum uses: O(4^n)
 per word, O(8^n) for a full sum.  A pulse exp(i t W) takes U to
-cos(t) U + i sin(t) W U in O(4^n).  The table of U g_a U+ gives column
-a of R, U g_a U+ = sum_b R[b][a] g_b, and the leak out of the frame's
-span; U is in the group of buses I and II iff the leak vanishes and R
-is special orthogonal.
+cos(t) U + i sin(t) W U in O(4^n), a diagonal W by one row scaling.
+The rotation R[b][a] = Re trace(g_b U g_a U+) / 2^n over the frame
+words g_a, U g_a U+ = sum_b R[b][a] g_b, is a sum of products of row
+and column gathers of U: O(n^2 4^n), no 2^n x 2^n matmul.  The leak
+out of the frame's span is read from the tables of U g_a U+, one
+half-rank matmul each; U is in the group of buses I and II iff the
+leak vanishes and R is special orthogonal.
 """
 
 from __future__ import annotations
@@ -85,10 +88,32 @@ def to_matrix(op: Union[str, PauliString, PauliSum], n: int | None = None) -> np
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _diagonal_index(n: int) -> np.ndarray:
+    """Read-only flat index [c, x] -> c 2^n + (c ^ x) of the entries (c, c ^ x); 512 KB at n = 8.
+
+    Cached because the leak gathers once per frame word, and building
+    the index took 0.56 ms at n = 8.
+    """
+    cols = np.arange(2**n)[:, None]
+    index = (cols << n | cols ^ cols.T).ravel()
+    index.flags.writeable = False
+    return index
+
+
+def _unphased_tables(mats: np.ndarray, n: int) -> np.ndarray:
+    """Tables [..., z, x] of sum_c (-1)^|c&z| mats[..., c, c ^ x] for a stack of 2^n x 2^n matrices.
+
+    Each is 2^n i^-|x&z| times the Pauli coefficient of word (x, z):
+    one gather of the diagonals [c, x] and one sign product.
+    """
+    flat = mats.reshape(*mats.shape[:-2], 4**n)
+    return _sign_product(n, np.take(flat, _diagonal_index(n), axis=-1).reshape(mats.shape))
+
+
 def _pauli_table(mat: np.ndarray, n: int) -> np.ndarray:
     """Table [x, z] of trace(W(x, z) @ mat) / 2^n = i^|x&z| sum_c (-1)^|c&z| mat[c, c ^ x] / 2^n."""
-    cols = np.arange(2**n)[:, None]
-    table = _sign_product(n, mat[cols, cols ^ cols.T])  # [z, x] from the diagonals [c, x]
+    table = _unphased_tables(mat, n)
     table *= (_I_POWERS / 2**n)[_overlaps(n)]
     return table.T
 
@@ -216,7 +241,9 @@ def run_schedule(schedule: PulseSchedule) -> np.ndarray:
 
     A pulse on a word W takes U to cos(t) U + i sin(t) W U, and W U is U
     with its rows permuted and scaled by W's phases, so each pulse costs
-    O(4^n) in place instead of an O(8^n) matmul.
+    O(4^n) in place instead of an O(8^n) matmul.  A diagonal word (no X
+    or Y) permutes nothing, so its pulse is one row scaling of U by
+    cos(t) + i sin(t) W[r, r].
     """
     _check_n(schedule.n)
     u = np.eye(2**schedule.n, dtype=complex)
@@ -227,9 +254,14 @@ def run_schedule(schedule: PulseSchedule) -> np.ndarray:
     for ref, theta in schedule.pulses:
         if ref not in actions:
             rows, phase = _pulse_action(ref.resolve())
-            actions[ref] = rows, phase[rows, None]
+            actions[ref] = (None if rows[0] == 0 else rows), phase[rows, None]
         rows, row_phase = actions[ref]
-        np.take(u, rows, axis=0, out=wu)
+        if rows is None:
+            u *= np.cos(theta) + np.sin(theta) * row_phase
+            continue
+        # rows is a permutation; mode="clip" skips the bounds check and the
+        # buffered copy the default mode makes for out= (3x faster at n = 8).
+        np.take(u, rows, axis=0, out=wu, mode="clip")
         wu *= np.sin(theta) * row_phase
         u *= np.cos(theta)
         u += wu
@@ -260,15 +292,29 @@ def unitarity_residual(u: np.ndarray) -> float:
     return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
 
 
-def _frame_readout(u: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, float]:
-    """Rotation R and out-of-span leak of conjugation by U.
+# Bytes of frame-word rows the readouts build at once.  256 KB keeps a
+# block in cache: with 1 MB, R took 13 against 11 ms at n = 8 and 2.1
+# against 0.45 ms at n = 6 (2-core host, one BLAS thread).
+_BLOCK_BYTES = 2**18
 
-    Column a of R holds the frame coefficients of U g_a U+, and the leak
-    is the largest coefficient on any other word.  g_a U+ is a row
-    permutation of U+ with phases, so each frame word costs one matmul.
-    Frame words are read one at a time to keep only a few 2^n x 2^n
-    arrays alive.
+
+@functools.lru_cache(maxsize=None)
+def _frame_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only bits x_a, z_a of gamma_frame(n), rows r ^ x_a and row phases, one row per word.
+
+    (g_a M)[r] = row_phase[a, r] * M[rows[a, r]] for any matrix M.
     """
+    bits = np.array([word_to_bits(g.letters) for g in gamma_frame(n)])
+    actions = [_word_action(x, z, n) for x, z in bits.tolist()]
+    rows = np.array([r for r, _ in actions])
+    row_phase = np.array([phase[r] for r, phase in actions])
+    for table in (bits, rows, row_phase):
+        table.flags.writeable = False
+    return bits[:, 0], bits[:, 1], rows, row_phase
+
+
+def _checked_unitary(u: np.ndarray, n: int, tol: float) -> np.ndarray:
+    """U as a complex array, once tol, n, U's shape and its unitarity within tol are checked."""
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError("tolerance must be positive")
     u = np.asarray(u, dtype=complex)
@@ -277,17 +323,86 @@ def _frame_readout(u: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, float
         raise ValueError(f"U has shape {u.shape}, expected {(2**n, 2**n)} for n={n}")
     if not unitarity_residual(u) <= tol:
         raise ValueError("input matrix is not unitary within tolerance")
-    fx, fz = np.array([word_to_bits(g.letters) for g in gamma_frame(n)]).T
-    r = np.empty((fx.size, fx.size))
+    return u
+
+
+def _rotation(u: np.ndarray, n: int) -> np.ndarray:
+    """R[b][a] = Re trace(g_b U g_a U+) / 2^n from traces, with no 2^n x 2^n matmul.
+
+    The trace is sum_{r,s} A[b, r, s] B[a, r, s] over the row gather
+    A[b, r] = (g_b U)[r] = p_b[r] U[r ^ x_b] and the column gather
+    B[a, r, s] = (g_a U+)[s, r] = p_a[s] conj U[r, s ^ x_a], p the row
+    phases.  The code builds conj B = conj(p_a[s]) U[r, s ^ x_a]; read as
+    interleaved reals, A . conj B is Re(A B), so R = Re(A B^T) / 2^n is
+    one real (2n+1) x 2*4^n by 2*4^n x (2n+1) product: O(n^2 4^n).  The
+    rows r go in blocks of _BLOCK_BYTES per operand.
+    """
+    _, _, rows, row_phase = _frame_words(n)
+    size, side = rows.shape
+    height = max(1, _BLOCK_BYTES // (16 * size * side))
+    height = min(side, 1 << (height.bit_length() - 1))
+    a = np.empty((size, height, side), dtype=complex)
+    b = np.empty_like(a)
+    b_by_row = b.transpose(1, 0, 2)
+    conj_phase = row_phase.conj()[:, None, :]
+    r = np.zeros((size, size))
+    for start in range(0, side, height):
+        block = slice(start, start + height)
+        np.take(u, rows[:, block], axis=0, out=a, mode="clip")
+        a *= row_phase[:, block, None]
+        np.take(u[block], rows, axis=1, out=b_by_row, mode="clip")
+        b *= conj_phase
+        r += a.view(float).reshape(size, -1) @ b.view(float).reshape(size, -1).T
+    return r / side
+
+
+@functools.lru_cache(maxsize=None)
+def _frame_halves(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only keep, partner, coef and norm, one row per frame word g_a.
+
+    W[:, j] = U[:, keep[j]] + coef[j] U[:, partner[j]], with coef = p_a[keep]
+    and partner = keep ^ x_a, is U times the +1 eigenvectors of g_a, so
+    W W+ = norm (U g_a U+ + I) with half the columns of U.  For x_a != 0
+    keep holds each c with the top bit of x_a clear (norm 1); a diagonal
+    g_a keeps its +1 columns, partner = keep and W = 2 U[:, keep] (norm 2).
+    """
+    fx, _, _, row_phase = _frame_words(n)
+    cols = np.arange(2**n)
+    keep = np.array([
+        cols[(cols & 1 << x.bit_length() - 1) == 0] if x else cols[phase.real > 0]
+        for x, phase in zip(fx.tolist(), row_phase)
+    ])
+    partner = keep ^ fx[:, None]
+    coef = np.take_along_axis(row_phase, partner, axis=1)  # p_a[c] = row_phase[a, c ^ x_a]
+    norm = np.where(fx == 0, 2.0, 1.0)
+    for table in (keep, partner, coef, norm):
+        table.flags.writeable = False
+    return keep, partner, coef, norm
+
+
+def _leak(u: np.ndarray, n: int) -> float:
+    """Largest |Pauli coefficient| of any U g_a U+ on a word outside the frame.
+
+    U g_a U+ + I comes from a half-rank product W W+ (_frame_halves), and
+    the [x, z] tables are _pauli_table's without its unit phases, which
+    leave every modulus as it is.  Frame words go through in groups of
+    up to _BLOCK_BYTES.
+    """
+    fx, fz, _, _ = _frame_words(n)
+    keep, partner, coef, norm = _frame_halves(n)
+    side = 2**n
+    group = max(1, _BLOCK_BYTES // (16 * side * side))
     leak = 0.0
-    u_dagger = u.conj().T
-    for a, (x, z) in enumerate(zip(fx.tolist(), fz.tolist())):
-        rows, phase = _word_action(x, z, n)
-        table = _pauli_table(u @ (phase[rows, None] * u_dagger[rows]), n)
-        r[:, a] = table[fx, fz].real
-        table[fx, fz] = 0
-        leak = max(leak, float(np.max(np.abs(table))))
-    return r, leak
+    for start in range(0, fx.size, group):
+        words = slice(start, start + group)
+        w = np.take(u, keep[words], axis=1)  # [c, a, j]
+        w += np.take(u, partner[words], axis=1) * coef[words]
+        # [a, z, x]: norm * 2^n times the unphased coefficients of U g_a U+ + I
+        table = _unphased_tables(np.matmul(w.transpose(1, 0, 2), w.conj().transpose(1, 2, 0)), n)
+        table[:, 0, 0] -= norm[words] * side
+        table[:, fz, fx] = 0
+        leak = max(leak, float(np.max(np.max(np.abs(table), axis=(1, 2)) / norm[words])) / side)
+    return leak
 
 
 def adjoint_rotation(u: np.ndarray, n: int, tol: float = 1e-8) -> np.ndarray:
@@ -295,10 +410,12 @@ def adjoint_rotation(u: np.ndarray, n: int, tol: float = 1e-8) -> np.ndarray:
 
     R[b][a] = trace(g_b @ U @ g_a @ U+) / 2^n over the rotation frame
     g_0..g_2n, so U g_a U+ = sum_b R[b][a] g_b whenever the conjugated
-    frame stays in the frame's span.  Out-of-span components are simply
-    not seen here; use so_membership to check for them.
+    frame stays in the frame's span.  The traces come from row and
+    column gathers of U in O(n^2 4^n), with no conjugation matmul.
+    Out-of-span components are simply not seen here; use so_membership
+    to check for them.
     """
-    return _frame_readout(u, n, tol)[0]
+    return _rotation(_checked_unitary(u, n, tol), n)
 
 
 @dataclass(frozen=True)
@@ -324,9 +441,14 @@ def so_membership(u: np.ndarray, n: int, tol: float = 1e-8) -> MembershipResult:
 
     True iff every conjugated frame word decomposes (within tol) over
     the frame words alone and the collected coefficient matrix R is
-    orthogonal with determinant +1 within tol.
+    orthogonal with determinant +1 within tol.  R is adjoint_rotation's,
+    from traces in O(n^2 4^n); the leak comes from the full Pauli tables
+    of the conjugated frame words, each U g_a U+ = W W+ - I from a
+    half-rank matmul, O(n 8^n) in all.
     """
-    r, leak = _frame_readout(u, n, tol)
+    u = _checked_unitary(u, n, tol)
+    r = _rotation(u, n)
+    leak = _leak(u, n)
     ortho = float(np.max(np.abs(r.T @ r - np.eye(r.shape[0]))))
     det_dev = abs(float(np.linalg.det(r)) - 1.0)
     member = leak <= tol and ortho <= tol and det_dev <= tol

@@ -214,6 +214,20 @@ class TestSchedule:
             "orthogonality_residual": f"{payload['rotation']['orthogonality_residual']:.3e}",
         }
 
+    @pytest.mark.parametrize("output,negative_zero", [
+        ("json", r"-0\.0(?![0-9])"), ("table", r"-0\.000000(?![0-9])"),
+    ])
+    def test_round_off_zeros_print_unsigned(self, capsys, output, negative_zero):
+        # R holds many entries that are zero up to round-off; their sign
+        # follows the order of float operations and must not reach stdout.
+        code, out, _ = run_cli(
+            capsys, "schedule", "--random", "20", "--n", "4", "--bus", "I,II", "--seed", "1",
+            "--output", output,
+        )
+        assert code == 0
+        assert "0.0" in out
+        assert not re.search(negative_zero, out)
+
 
 class TestScheduleInputErrors:
     @pytest.mark.parametrize("theta", ["NaN", "Infinity", "-Infinity"])

@@ -1,6 +1,7 @@
 """Tests for the dense backend: matrices, pulses, schedules, rotations."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -578,3 +579,111 @@ class TestScheduleBudget:
             PulseSchedule(n=2, pulses=((ref, 0.1),) * 6)
         with pytest.raises(ResourceLimitError):
             PulseSchedule.from_json_dict({"n": 2, "pulses": [{"gen": "e0", "theta": 0.1}] * 6})
+
+
+def _trace_rotation(u, n):
+    """R[b][a] = Re trace(g_b U g_a U+) / 2^n with kron_word frame matrices and full matmuls."""
+    frame = [kron_word(g.letters) for g in gamma_frame(n)]
+    conjugated = [u @ g_a @ u.conj().T for g_a in frame]
+    return np.array([
+        [np.real(np.einsum("ij,ji->", g_b, m)) / 2**n for m in conjugated] for g_b in frame
+    ])
+
+
+class TestTraceReadout:
+    """R from traces of row and column gathers of U; the leak from half-rank tables."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_schedules())
+    def test_mixed_schedules_match_oracle(self, schedule):
+        n = schedule.n
+        u = run_schedule(schedule)
+        want_r, want_leak = frame_readout(u, [g.letters for g in gamma_frame(n)])
+        r = adjoint_rotation(u, n)
+        result = so_membership(u, n)
+        assert np.max(np.abs(r - want_r)) < 1e-12
+        assert abs(result.residual - want_leak) < 1e-12
+        assert np.array_equal(result.rotation, r)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("buses", [["I", "II"], ["I", "II", "III"]])
+    def test_large_chains_match_dense_traces(self, n, buses):
+        schedule = random_schedule(n, buses, 40, seed=500 + n)
+        u = run_schedule(schedule)
+        result = so_membership(u, n)
+        assert np.max(np.abs(adjoint_rotation(u, n) - _trace_rotation(u, n))) < 1e-10
+        assert np.array_equal(result.rotation, adjoint_rotation(u, n))
+        if "III" not in buses:
+            assert result.member and result.residual < 1e-9
+        elif n == 8:
+            assert any(ref.kind == "third" for ref, _ in schedule.pulses)
+            assert not result.member and result.residual > 1e-6
+            # Parseval: a conjugated frame word has unit coefficient norm
+            missing = np.max(1.0 - np.sum(result.rotation**2, axis=0))
+            assert result.residual**2 <= missing + 1e-12
+
+    def test_cached_frame_tables_are_read_only(self):
+        tables = (*dense._frame_words(3), *dense._frame_halves(3), dense._diagonal_index(3))
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = table[1]
+
+    def test_cold_caches(self):
+        for cache in (dense._frame_words, dense._frame_halves, dense._diagonal_index):
+            cache.cache_clear()
+        for buses in (["I", "II"], ["I", "II", "III"]):
+            u = run_schedule(random_schedule(3, buses, 20, seed=44))
+            want_r, want_leak = frame_readout(u, [g.letters for g in gamma_frame(3)])
+            result = so_membership(u, 3)
+            assert np.max(np.abs(result.rotation - want_r)) < 1e-12
+            assert abs(result.residual - want_leak) < 1e-12
+        dense._frame_words.cache_clear()
+        assert np.max(np.abs(adjoint_rotation(u, 3) - want_r)) < 1e-12
+
+    @pytest.mark.parametrize("readout", [adjoint_rotation, so_membership])
+    def test_traced_peak_at_pipeline_limit(self, readout):
+        # The per-call temporaries stay a few 2^n x 2^n matrices (1 MB each
+        # at n = 8); the first call fills the per-n caches, which persist.
+        u = run_schedule(random_schedule(N_MAX_PIPELINE, ["I", "II"], 30, seed=8))
+        readout(u, N_MAX_PIPELINE)
+        tracemalloc.start()
+        try:
+            readout(u, N_MAX_PIPELINE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
+
+
+def _diagonal_words(rng, n, count):
+    """Seeded signed words of I and Z only, e.g. -ZIZ."""
+    return [rng.choice(["", "-"]) + "".join(rng.choice("IZ") for _ in range(n)) for _ in range(count)]
+
+
+class TestDiagonalPulses:
+    """A pulse on a word without X or Y is one row scaling of U."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bus_one_schedules(self, n):
+        schedule = random_schedule(n, ["I"], 30, seed=70 + n)
+        want = compose_pulses(n, [(ref.resolve().letters, 1, t) for ref, t in schedule.pulses])
+        assert np.max(np.abs(run_schedule(schedule) - want)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_signed_diagonal_words_mixed_with_bus_two(self, n):
+        rng = random.Random(90 + n)
+        raw = ["-ZIZ", "IZZ", "-IIZ"] if n == 3 else _diagonal_words(rng, n, 3)
+        refs = [parse_generator(w, n) for w in raw] + list(build_bus(n, "II").members)
+        pulses = tuple((rng.choice(refs), rng.uniform(-np.pi, np.pi)) for _ in range(40))
+        schedule = PulseSchedule(n=n, pulses=pulses)
+        words = [(ref.resolve(), t) for ref, t in pulses]
+        want = compose_pulses(n, [(p.letters, p.phase.real, t) for p, t in words])
+        assert np.max(np.abs(run_schedule(schedule) - want)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_minus_z_pulse_inverts_z_pulse(self, n):
+        word = "I" * (n - 1) + "Z"
+        plus = run_schedule(PulseSchedule(n=n, pulses=((parse_generator(word, n), 0.9),)))
+        minus = run_schedule(PulseSchedule(n=n, pulses=((parse_generator("-" + word, n), 0.9),)))
+        assert np.array_equal(minus, plus.conj().T)
+        assert np.max(np.abs(minus @ plus - np.eye(2**n))) < 1e-15
