@@ -130,7 +130,7 @@ def _cmd_schedule(args) -> int:
     payload = {
         "n": schedule.n,
         "pulses": schedule.to_json_dict()["pulses"],
-        "unitarity_residual": dense.unitarity_residual(u),
+        "unitarity_residual": membership.unitarity,
         "member": membership.member,
         "membership_residual": membership.residual,
         "rotation": dense.rotation_json_dict(membership.rotation) if membership.member else None,

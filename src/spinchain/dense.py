@@ -27,7 +27,7 @@ import numpy as np
 
 from .generators import GeneratorRef, build_bus, gamma_frame, parse_generator
 from .operators import PauliSum
-from .pauli import PauliString, ResourceLimitError, word_to_bits
+from .pauli import PauliString, ResourceLimitError
 
 N_MAX_PIPELINE = 8
 # Longest schedule accepted; each pulse costs O(4^n) when composed.
@@ -163,7 +163,7 @@ def _pulse_action(word: PauliString) -> tuple[np.ndarray, np.ndarray]:
     if not word.is_hermitian:
         raise ValueError(f"pulse generator {word} is not Hermitian")
     _check_n(word.n)
-    rows, phase = _word_action(*word_to_bits(word.letters), word.n)
+    rows, phase = _word_action(word.x, word.z, word.n)
     return rows, 1j * word.phase.real * phase
 
 
@@ -304,7 +304,7 @@ def _frame_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
 
     (g_a M)[r] = row_phase[a, r] * M[rows[a, r]] for any matrix M.
     """
-    bits = np.array([word_to_bits(g.letters) for g in gamma_frame(n)])
+    bits = np.array([(g.x, g.z) for g in gamma_frame(n)])
     actions = [_word_action(x, z, n) for x, z in bits.tolist()]
     rows = np.array([r for r, _ in actions])
     row_phase = np.array([phase[r] for r, phase in actions])
@@ -313,17 +313,17 @@ def _frame_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return bits[:, 0], bits[:, 1], rows, row_phase
 
 
-def _checked_unitary(u: np.ndarray, n: int, tol: float) -> np.ndarray:
-    """U as a complex array, once tol, n, U's shape and its unitarity within tol are checked."""
+def _checked_unitary(u: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, float]:
+    """U as a complex array and max |U U+ - I|, once tol, n, U's shape and its unitarity are checked."""
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError("tolerance must be positive")
     u = np.asarray(u, dtype=complex)
     _check_n(n)
     if u.shape != (2**n, 2**n):
         raise ValueError(f"U has shape {u.shape}, expected {(2**n, 2**n)} for n={n}")
-    if not unitarity_residual(u) <= tol:
+    if not (unitarity := unitarity_residual(u)) <= tol:
         raise ValueError("input matrix is not unitary within tolerance")
-    return u
+    return u, unitarity
 
 
 def _rotation(u: np.ndarray, n: int) -> np.ndarray:
@@ -415,7 +415,7 @@ def adjoint_rotation(u: np.ndarray, n: int, tol: float = 1e-8) -> np.ndarray:
     Out-of-span components are simply not seen here; use so_membership
     to check for them.
     """
-    return _rotation(_checked_unitary(u, n, tol), n)
+    return _rotation(_checked_unitary(u, n, tol)[0], n)
 
 
 @dataclass(frozen=True)
@@ -427,6 +427,7 @@ class MembershipResult:
     adjoint_rotation returns for the same U, a rotation only for members.
     orthogonality is max |R^T R - I| and det_deviation is |det R - 1|;
     with residual they are the three numbers the verdict compares to tol.
+    unitarity is max |U U+ - I|, the input check's unitarity_residual.
     """
 
     member: bool
@@ -434,6 +435,7 @@ class MembershipResult:
     rotation: np.ndarray | None = field(default=None, compare=False, repr=False)
     orthogonality: float | None = field(default=None, compare=False, repr=False)
     det_deviation: float | None = field(default=None, compare=False, repr=False)
+    unitarity: float | None = field(default=None, compare=False, repr=False)
 
 
 def so_membership(u: np.ndarray, n: int, tol: float = 1e-8) -> MembershipResult:
@@ -446,15 +448,14 @@ def so_membership(u: np.ndarray, n: int, tol: float = 1e-8) -> MembershipResult:
     of the conjugated frame words, each U g_a U+ = W W+ - I from a
     half-rank matmul, O(n 8^n) in all.
     """
-    u = _checked_unitary(u, n, tol)
+    u, unitarity = _checked_unitary(u, n, tol)
     r = _rotation(u, n)
     leak = _leak(u, n)
     ortho = float(np.max(np.abs(r.T @ r - np.eye(r.shape[0]))))
     det_dev = abs(float(np.linalg.det(r)) - 1.0)
     member = leak <= tol and ortho <= tol and det_dev <= tol
-    return MembershipResult(
-        member=member, residual=leak, rotation=r, orthogonality=ortho, det_deviation=det_dev
-    )
+    return MembershipResult(member=member, residual=leak, rotation=r, orthogonality=ortho,
+                            det_deviation=det_dev, unitarity=unitarity)
 
 
 def rotation_json_dict(r: np.ndarray) -> dict:

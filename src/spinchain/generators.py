@@ -56,31 +56,28 @@ def majorana_bilinear(n: int, k: int) -> PauliString:
 
 
 def third_order_gate(n: int) -> PauliString:
-    """The universality gate: Y on qubit 1, i.e. I (x) Y (x) I^(n-2).
+    """The universality gate: Y on qubit 1, i.e. I (x) Y (x) I^(n-2), in closed form.
 
-    Equals the triple product majorana(0)*majorana(1)*majorana(3) up to
-    a unit phase (the product carries a factor i).
+    It equals the triple product majorana(0)*majorana(1)*majorana(3) up
+    to a unit phase (the product carries a factor i); that identity is a
+    test, not re-derived here.
     """
     if n < 2:
         raise ValueError("third-order gate needs at least 2 qubits")
-    gate = PauliString("IY" + "I" * (n - 2))
-    triple = majorana(n, 0) * majorana(n, 1) * majorana(n, 3)
-    assert triple.letters == gate.letters
-    return gate
+    return PauliString("IY" + "I" * (n - 2))
 
 
 def chirality(n: int) -> PauliString:
-    """Phase-normalized product of all 2n chain operators: Z on every qubit.
+    """Z on every qubit, in closed form.
 
-    Hermitian, squares to the identity, and anticommutes with each chain
-    operator, so it serves as the extra (2n+1)-th anticommuting element.
+    It is the phase-normalized product of all 2n chain operators (that
+    identity is a test, not re-derived here).  Hermitian, squares to the
+    identity, and anticommutes with each chain operator, so it serves as
+    the extra (2n+1)-th anticommuting element.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    prod = PauliString.identity(n)
-    for k in range(2 * n):
-        prod = prod * majorana(n, k)
-    return PauliString(prod.letters)
+    return PauliString("Z" * n)
 
 
 def gamma_frame(n: int) -> tuple[PauliString, ...]:
@@ -98,12 +95,8 @@ def gamma_frame(n: int) -> tuple[PauliString, ...]:
     onto bilinear words outside any 2n+1 dimensional span.)
     """
     gam = chirality(n)
-    frame = []
-    for a in range(2 * n):
-        prod = majorana(n, a) * gam
-        frame.append(PauliString(prod.letters))
-    frame.append(gam)
-    return tuple(frame)
+    prods = [majorana(n, a) * gam for a in range(2 * n)]
+    return tuple(p.phase.conjugate() * p for p in prods) + (gam,)  # phases set to +1
 
 
 def subset_product(n: int, indices) -> PauliString:

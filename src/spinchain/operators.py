@@ -89,12 +89,12 @@ class PauliSum:
 
     @classmethod
     def identity(cls, n: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls(n, {"I" * n: coeff})
+        return cls.from_bits(n, {(0, 0): coeff})
 
     @classmethod
     def from_pauli(cls, p: PauliString, coeff: complex = 1.0) -> "PauliSum":
         """Single-term sum; the string's phase is folded into the coefficient."""
-        return cls(p.n, {p.letters: p.phase * coeff})
+        return cls.from_bits(p.n, {(p.x, p.z): p.phase * coeff})
 
     @classmethod
     def from_bits(cls, n: int, terms: Mapping[tuple[int, int], complex]) -> "PauliSum":
@@ -246,7 +246,7 @@ def annihilation_operator(n: int, k: int) -> PauliSum:
         raise ValueError(f"mode index {k} out of range for n={n}")
     even = majorana(n, 2 * k)
     odd = majorana(n, 2 * k + 1)
-    return PauliSum(n, [(even.letters, 0.5), (odd.letters, 0.5j)])
+    return PauliSum.from_bits(n, {(even.x, even.z): 0.5, (odd.x, odd.z): 0.5j})
 
 
 def creation_operator(n: int, k: int) -> PauliSum:
@@ -296,7 +296,7 @@ def verify_car(n: int, *, inject_fault: bool = False) -> CarReport:
         raise ResourceLimitError(f"car at n={n} exceeds {MAX_CAR_MODES} modes")
     ann = [annihilation_operator(n, k) for k in range(n)]
     if inject_fault:
-        ann[0] = PauliSum(n, [(majorana(n, 0).letters, 0.5), ("I" * n, 0.5j)])
+        ann[0] = PauliSum.from_pauli(majorana(n, 0), 0.5) + PauliSum.identity(n, 0.5j)
     cre = [a.dagger() for a in ann]
     identity = PauliSum.identity(n)
 
@@ -304,10 +304,11 @@ def verify_car(n: int, *, inject_fault: bool = False) -> CarReport:
     worst = 0.0
     for k in range(n):
         for j in range(n):
+            ann_cre = ann[k].anticommutator(cre[j])
             checks = (
                 ("ann-ann", ann[k].anticommutator(ann[j])),
                 ("cre-cre", cre[k].anticommutator(cre[j])),
-                ("ann-cre", ann[k].anticommutator(cre[j]) - (identity if k == j else PauliSum.zero(n))),
+                ("ann-cre", ann_cre - identity if k == j else ann_cre),
             )
             for rel, residue in checks:
                 dev = residue.max_coeff()

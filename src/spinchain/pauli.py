@@ -12,9 +12,10 @@ Conventions:
 - Phase-free words are plain Python strings in the API, so lexicographic
   word order is ordinary string order and word sets hash for free.
 - Text form is ``[+|-][i]?<letters>``, e.g. ``"XY"``, ``"-iZX"``.
-- Internally a word is the bit pair (x, z): X -> x, Z -> z, Y -> both,
-  qubit 0 the most significant bit (the Kronecker order).  word_to_bits
-  and bits_to_word are the only converters, bits_product the one product.
+- A word is the bit pair (x, z): X -> x, Z -> z, Y -> both, qubit 0 the
+  most significant bit (the Kronecker order).  A PauliString holds n, x, z
+  and phase_exp; its letters are derived.  word_to_bits and bits_to_word
+  are the only converters, bits_product the one product.
 """
 
 from __future__ import annotations
@@ -58,53 +59,55 @@ class PauliParseError(ValueError):
 
 def _check_same_n(a: "PauliString", b: "PauliString") -> None:
     if a.n != b.n:
-        raise DimensionMismatchError(
-            f"qubit counts differ: {a.n} vs {b.n}"
-        )
+        raise DimensionMismatchError(f"qubit counts differ: {a.n} vs {b.n}")
 
 
 class PauliString:
     """An n-qubit Pauli word with a tracked unit phase.
 
     Attributes:
-        letters: length-n string over "IXYZ"; qubit 0 is letters[0].
+        n: number of qubits.
+        x, z: the word's symplectic bits (word_to_bits), qubit 0 the top bit.
         phase_exp: integer 0..3, the power of i giving the global phase.
 
-    Instances are immutable and hashable.  The represented operator is
-    Hermitian exactly when the phase is +1 or -1.
+    letters is derived from the bits.  Instances are immutable and hashable.
+    The represented operator is Hermitian exactly when the phase is +1 or -1.
     """
 
-    __slots__ = ("letters", "phase_exp")
+    __slots__ = ("n", "x", "z", "phase_exp")
 
     def __init__(self, letters: str, phase: complex = 1):
-        word_to_bits(letters)  # raises ValueError unless letters is a word over IXYZ
+        x, z = word_to_bits(letters)  # raises ValueError unless letters is a word over IXYZ
         try:
             exp = _PHASE_EXPONENT[complex(phase)]
         except (KeyError, TypeError):
             raise ValueError(f"phase must be one of +1, +i, -1, -i, got {phase!r}")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "phase_exp", exp)
+        self._fill(len(letters), x, z, exp)
 
     def __setattr__(self, name, value):
         raise AttributeError("PauliString is immutable")
 
     @classmethod
-    def _make(cls, letters: str, phase_exp: int) -> "PauliString":
+    def _make(cls, n: int, x: int, z: int, phase_exp: int) -> "PauliString":
         obj = object.__new__(cls)
-        object.__setattr__(obj, "letters", letters)
-        object.__setattr__(obj, "phase_exp", phase_exp & 3)
+        obj._fill(n, x, z, phase_exp & 3)
         return obj
+
+    def _fill(self, n: int, x: int, z: int, phase_exp: int) -> None:
+        for name, value in zip(self.__slots__, (n, x, z, phase_exp)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
         """The identity word I...I with phase +1."""
         if n < 1:
             raise ValueError("n must be positive")
-        return cls._make("I" * n, 0)
+        return cls._make(n, 0, 0, 0)
 
     @property
-    def n(self) -> int:
-        return len(self.letters)
+    def letters(self) -> str:
+        """The word over "IXYZ", qubit 0 first."""
+        return bits_to_word(self.x, self.z, self.n)
 
     @property
     def phase(self) -> complex:
@@ -117,13 +120,13 @@ class PauliString:
 
     def dagger(self) -> "PauliString":
         """Hermitian conjugate: same word, conjugated phase."""
-        return PauliString._make(self.letters, -self.phase_exp)
+        return PauliString._make(self.n, self.x, self.z, -self.phase_exp)
 
     def __mul__(self, other):
         if isinstance(other, PauliString):
             _check_same_n(self, other)
-            exp, word = word_product(self.letters, other.letters)
-            return PauliString._make(word, self.phase_exp + other.phase_exp + exp)
+            exp, (x, z) = bits_product((self.x, self.z), (other.x, other.z))
+            return PauliString._make(self.n, x, z, self.phase_exp + other.phase_exp + exp)
         return self._scale(other)
 
     def __rmul__(self, other):
@@ -134,23 +137,23 @@ class PauliString:
             exp = _PHASE_EXPONENT[complex(scalar)]
         except (KeyError, TypeError):
             return NotImplemented
-        return PauliString._make(self.letters, self.phase_exp + exp)
+        return PauliString._make(self.n, self.x, self.z, self.phase_exp + exp)
 
     def __neg__(self) -> "PauliString":
-        return PauliString._make(self.letters, self.phase_exp + 2)
+        return PauliString._make(self.n, self.x, self.z, self.phase_exp + 2)
 
     def commutes_with(self, other: "PauliString") -> bool:
-        """True iff self*other == other*self: the product's phase exponent is even."""
+        """True iff self*other == other*self: |x1&z2| + |z1&x2| is even."""
         _check_same_n(self, other)
-        return word_product(self.letters, other.letters)[0] % 2 == 0
+        return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliString):
             return NotImplemented
-        return self.letters == other.letters and self.phase_exp == other.phase_exp
+        return (self.n, self.x, self.z, self.phase_exp) == (other.n, other.x, other.z, other.phase_exp)
 
     def __hash__(self) -> int:
-        return hash((self.letters, self.phase_exp))
+        return hash((self.n, self.x, self.z, self.phase_exp))
 
     def __str__(self) -> str:
         return _PHASE_PREFIX[self.phase_exp] + self.letters
@@ -218,7 +221,7 @@ def parse_pauli(text: str, n: int) -> PauliString:
         raise PauliParseError(
             f"expected {n} letters, got {len(letters)}", pos + min(len(letters), n)
         )
-    return PauliString._make(letters, exp)
+    return PauliString._make(n, *word_to_bits(letters), exp)
 
 
 def word_to_bits(word: str) -> tuple[int, int]:

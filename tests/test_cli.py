@@ -297,3 +297,37 @@ def test_json_keys_are_sorted(capsys):
     _, out, _ = run_cli(capsys, "gen", "e", "--n", "2", "--k", "0")
     keys = [line.split('"')[1] for line in out.splitlines() if '":' in line]
     assert keys == sorted(keys)
+
+
+def _gen_commands(*output):
+    kinds = [["e", "--k", "0"], ["e", "--k", "9"], ["d", "--k", "7"], ["d", "--k", "8"], ["third"], ["chirality"]]
+    kinds += [["bus", "--id", bus_id] for bus_id in ("I", "II", "III")]
+    return [["gen", *kind, "--n", "5", *output] for kind in kinds]
+
+
+# Golden stdout of exact commands, one file each: (file, commands, exit code).
+# A file holds its commands' stdout concatenated.  Only outputs without float
+# round-off qualify; the CAR deviations are dyadic.
+GOLDEN_CLI = [
+    ("gen_n5.json", _gen_commands(), 0),
+    ("gen_n5.txt", _gen_commands("--output", "table"), 0),
+    ("car_n4.json", [["car", "--n", "4"]], 0),
+    ("car_n4.txt", [["car", "--n", "4", "--output", "table"]], 0),
+    ("car_n4_fault.json", [["car", "--n", "4", "--inject-fault"]], 1),
+    ("car_n4_fault.txt", [["car", "--n", "4", "--inject-fault", "--output", "table"]], 1),
+    ("closure_n4_I_II.json", [["closure", "--n", "4", "--bus", "I,II"]], 0),
+    ("closure_n4_I_II.txt", [["closure", "--n", "4", "--bus", "I,II", "--output", "table"]], 0),
+    ("closure_n3_I_II_III.json", [["closure", "--n", "3", "--bus", "I,II,III"]], 0),
+    ("closure_n3_I_II_III.txt", [["closure", "--n", "3", "--bus", "I,II,III", "--output", "table"]], 0),
+    ("closure_n2_gen.json", [["closure", "--n", "2", "--gen", "e0,d0,XX,IZ"]], 0),
+]
+
+
+@pytest.mark.parametrize("name, commands, code", GOLDEN_CLI, ids=[g[0] for g in GOLDEN_CLI])
+def test_golden_cli_bytes(capsys, name, commands, code):
+    outs = []
+    for argv in commands:
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, err) == (code, ""), argv
+        outs.append(out)
+    assert "".join(outs) == (DATA / "golden_cli" / name).read_text()

@@ -562,6 +562,21 @@ class TestMembershipNumbers:
         assert "orthogonality" not in repr(result) and "det_deviation" not in repr(result)
 
 
+# Bus III holds the third-order gate, which needs n >= 2.
+UNITARITY_CASES = [
+    (n, buses) for n in range(1, 9) for buses in ("I,II", "I,II,III") if n > 1 or buses == "I,II"
+]
+
+
+@pytest.mark.parametrize("n,buses", UNITARITY_CASES)
+def test_membership_carries_the_unitarity_it_checked(n, buses):
+    u = run_schedule(random_schedule(n, buses.split(","), 30, seed=400 + n))
+    result = so_membership(u, n)
+    assert result.unitarity == unitarity_residual(u)
+    assert result == MembershipResult(member=result.member, residual=result.residual)
+    assert "unitarity" not in repr(result)
+
+
 class TestScheduleBudget:
     """MAX_SCHEDULE_PULSES caps schedules; tests lower it instead of building huge ones."""
 

@@ -79,7 +79,7 @@ class TestThirdOrderGate:
         with pytest.raises(ValueError):
             third_order_gate(1)
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", [*range(2, 7), 17, 64, 100])
     def test_triple_product_carries_phase_i(self, n):
         triple = majorana(n, 0) * majorana(n, 1) * majorana(n, 3)
         assert triple == 1j * third_order_gate(n)
@@ -98,6 +98,17 @@ class TestChirality:
         assert gam * gam == PauliString.identity(n)
         for k in range(2 * n):
             assert not gam.commutes_with(majorana(n, k))
+
+
+    @pytest.mark.parametrize("n", [*range(1, 7), 17, 64, 100])
+    def test_equals_phase_normalized_product_of_chain(self, n):
+        prod = PauliString.identity(n)
+        for k in range(2 * n):
+            prod = prod * majorana(n, k)
+        assert prod.phase.conjugate() * prod == chirality(n)
+
+    def test_long_chain_is_closed_form(self):
+        assert chirality(16000).letters == "Z" * 16000
 
 
 class TestGammaFrame:

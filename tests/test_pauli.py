@@ -127,6 +127,33 @@ class TestWordBits:
             PauliString(bad)
 
 
+class TestWordValue:
+    """A PauliString holds (n, x, z, phase_exp); its letters come from the bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(word_pairs(64), st.sampled_from(PHASES), st.sampled_from(PHASES))
+    def test_bits_letters_equality_and_commutation(self, pair, pa, pb):
+        a, b = pair
+        p, q = PauliString(a, pa), PauliString(b, pb)
+        assert (p.n, p.x, p.z, p.phase) == (len(a), *word_to_bits(a), pa)
+        assert (p.letters, q.letters) == (a, b)
+        assert (p == q) == ((a, pa) == (b, pb))
+        assert (p == PauliString(a, pb)) == (pa == pb)
+        assert hash(p) == hash(PauliString(a, pa))
+        assert p.commutes_with(q) == (letter_product(a, b)[0] % 2 == 0)
+
+    def test_same_bits_on_different_lengths_differ(self):
+        assert PauliString("X").x == PauliString("IX").x
+        assert PauliString("X") != PauliString("IX")
+        assert len({PauliString("I"), PauliString("II"), PauliString("III")}) == 3
+
+    def test_bits_are_read_only(self):
+        p = PauliString("XY")
+        for name in ("n", "x", "z", "phase_exp", "letters"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 0)
+
+
 class TestCommutation:
     def test_examples(self):
         assert not PauliString("X").commutes_with(PauliString("Y"))
