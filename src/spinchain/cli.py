@@ -42,6 +42,10 @@ def _emit(payload: dict, output: str, table_lines) -> None:
 
 def _cmd_gen(args) -> int:
     n = args.n
+    if args.k is not None and args.kind not in ("e", "d"):
+        raise ValueError(f"--k applies only to kinds e and d, not {args.kind}")
+    if args.id is not None and args.kind != "bus":
+        raise ValueError(f"--id applies only to kind bus, not {args.kind}")
     if args.kind == "bus":
         if not args.id:
             raise ValueError("gen bus requires --id I|II|III")
@@ -124,6 +128,7 @@ def _load_schedule(args) -> dense.PulseSchedule:
 
 
 def _cmd_schedule(args) -> int:
+    dense._check_tolerance(args.tolerance)
     schedule = _load_schedule(args)
     u = dense.run_schedule(schedule)
     membership = dense.so_membership(u, schedule.n, tol=args.tolerance)

@@ -227,13 +227,15 @@ class PulseSchedule:
             n = payload["n"]
             if not isinstance(n, int) or isinstance(n, bool):
                 raise ValueError(f"schedule n must be an integer, got {n!r}")
-            pulses = tuple(
-                (parse_generator(str(p["gen"]), n), float(p["theta"]))
-                for p in payload["pulses"]
-            )
-        except (KeyError, TypeError) as exc:
+            pulses = []
+            for index, p in enumerate(payload["pulses"]):
+                theta = p["theta"]
+                if isinstance(theta, bool) or not isinstance(theta, (int, float)):
+                    raise ValueError(f"pulse {index} angle must be a JSON number, got {theta!r}")
+                pulses.append((parse_generator(str(p["gen"]), n), float(theta)))
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed schedule payload: {exc}") from exc
-        return cls(n=n, pulses=pulses)
+        return cls(n=n, pulses=tuple(pulses))
 
 
 def run_schedule(schedule: PulseSchedule) -> np.ndarray:
@@ -313,10 +315,14 @@ def _frame_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return bits[:, 0], bits[:, 1], rows, row_phase
 
 
-def _checked_unitary(u: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, float]:
-    """U as a complex array and max |U U+ - I|, once tol, n, U's shape and its unitarity are checked."""
+def _check_tolerance(tol: float) -> None:
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError("tolerance must be positive")
+
+
+def _checked_unitary(u: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, float]:
+    """U as a complex array and max |U U+ - I|, once tol, n, U's shape and its unitarity are checked."""
+    _check_tolerance(tol)
     u = np.asarray(u, dtype=complex)
     _check_n(n)
     if u.shape != (2**n, 2**n):

@@ -25,9 +25,9 @@ from typing import Iterable, Mapping, Union
 
 from .generators import majorana
 from .pauli import (
-    DimensionMismatchError,
     PauliString,
     ResourceLimitError,
+    _check_same_n,
     bits_product,
     bits_to_word,
     word_to_bits,
@@ -45,6 +45,7 @@ _COMMUTATOR_WEIGHTS = (0, 2j, 0, -2j)  # i^e - i^-e: only anticommuting pairs co
 _ANTICOMMUTATOR_WEIGHTS = (2, 0, -2, 0)  # i^e + i^-e: only commuting pairs count
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class PauliSum:
     """Finite complex-linear combination of phase-free Pauli words.
 
@@ -57,9 +58,13 @@ class PauliSum:
     Use ``+``/``-`` for linear combination, ``*`` for scalars, ``@`` for
     the operator product.  Iteration and serialization order is
     lexicographic in the word string, whatever the order of the bits.
+    A frozen dataclass: sums compare by (n, terms), copy and pickle, and
+    are unhashable: their terms are a dict.
     """
 
-    __slots__ = ("n", "_terms")
+    n: int
+    _terms: dict[tuple[int, int], complex]
+    __hash__ = None
 
     def __init__(self, n: int, terms: Union[Mapping[str, complex], Iterable] = ()):
         if n < 1:
@@ -69,18 +74,13 @@ class PauliSum:
         for word, coeff in items:
             folded[word] = folded.get(word, 0j) + complex(coeff)
         checked = PauliSum.from_bits(n, dict(zip(words_to_bits(n, folded), folded.values())))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", checked._terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PauliSum is immutable")
+        self.__dict__.update(n=n, _terms=checked._terms)
 
     @classmethod
     def _from_dict(cls, n: int, terms: dict[tuple[int, int], complex]) -> "PauliSum":
         """Sum of bit-keyed terms, unchecked; the one place coefficients are pruned."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "_terms", {k: c for k, c in terms.items() if abs(c) >= PRUNE_TOLERANCE})
+        obj.__dict__.update(n=n, _terms={k: c for k, c in terms.items() if abs(c) >= PRUNE_TOLERANCE})
         return obj
 
     @classmethod
@@ -139,14 +139,10 @@ class PauliSum:
         """Exact test: every coefficient has zero imaginary part."""
         return all(c.imag == 0.0 for c in self._terms.values())
 
-    def _require_same_n(self, other: "PauliSum") -> None:
-        if self.n != other.n:
-            raise DimensionMismatchError(f"qubit counts differ: {self.n} vs {other.n}")
-
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if not isinstance(other, PauliSum):
             return NotImplemented
-        self._require_same_n(other)
+        _check_same_n(self, other)
         out = dict(self._terms)
         for w, c in other._terms.items():
             out[w] = out.get(w, 0j) + c
@@ -171,7 +167,7 @@ class PauliSum:
     __rmul__ = __mul__
 
     def _product(self, other: "PauliSum", weights: tuple[complex, ...]) -> "PauliSum":
-        self._require_same_n(other)
+        _check_same_n(self, other)
         out: dict[tuple[int, int], complex] = {}
         for ka, ca in self._terms.items():
             for kb, cb in other._terms.items():
@@ -209,11 +205,6 @@ class PauliSum:
     def max_coeff(self) -> float:
         """Largest coefficient magnitude; 0.0 for the zero operator."""
         return max((abs(c) for c in self._terms.values()), default=0.0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PauliSum):
-            return NotImplemented
-        return self.n == other.n and self._terms == other._terms
 
     def __str__(self) -> str:
         if not self._terms:

@@ -20,6 +20,7 @@ Conventions:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 PAULI_LETTERS = "IXYZ"
@@ -57,11 +58,13 @@ class PauliParseError(ValueError):
         self.position = position
 
 
-def _check_same_n(a: "PauliString", b: "PauliString") -> None:
+def _check_same_n(a, b) -> None:
+    """Raise DimensionMismatchError unless a and b (words or sums) have the same n."""
     if a.n != b.n:
         raise DimensionMismatchError(f"qubit counts differ: {a.n} vs {b.n}")
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class PauliString:
     """An n-qubit Pauli word with a tracked unit phase.
 
@@ -70,11 +73,15 @@ class PauliString:
         x, z: the word's symplectic bits (word_to_bits), qubit 0 the top bit.
         phase_exp: integer 0..3, the power of i giving the global phase.
 
-    letters is derived from the bits.  Instances are immutable and hashable.
+    letters is derived from the bits.  A frozen dataclass: equality and the
+    hash are those of (n, x, z, phase_exp), and instances copy and pickle.
     The represented operator is Hermitian exactly when the phase is +1 or -1.
     """
 
-    __slots__ = ("n", "x", "z", "phase_exp")
+    n: int
+    x: int
+    z: int
+    phase_exp: int
 
     def __init__(self, letters: str, phase: complex = 1):
         x, z = word_to_bits(letters)  # raises ValueError unless letters is a word over IXYZ
@@ -82,20 +89,13 @@ class PauliString:
             exp = _PHASE_EXPONENT[complex(phase)]
         except (KeyError, TypeError):
             raise ValueError(f"phase must be one of +1, +i, -1, -i, got {phase!r}")
-        self._fill(len(letters), x, z, exp)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PauliString is immutable")
+        self.__dict__.update(n=len(letters), x=x, z=z, phase_exp=exp)
 
     @classmethod
     def _make(cls, n: int, x: int, z: int, phase_exp: int) -> "PauliString":
         obj = object.__new__(cls)
-        obj._fill(n, x, z, phase_exp & 3)
+        obj.__dict__.update(n=n, x=x, z=z, phase_exp=phase_exp & 3)
         return obj
-
-    def _fill(self, n: int, x: int, z: int, phase_exp: int) -> None:
-        for name, value in zip(self.__slots__, (n, x, z, phase_exp)):
-            object.__setattr__(self, name, value)
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
@@ -146,14 +146,6 @@ class PauliString:
         """True iff self*other == other*self: |x1&z2| + |z1&x2| is even."""
         _check_same_n(self, other)
         return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PauliString):
-            return NotImplemented
-        return (self.n, self.x, self.z, self.phase_exp) == (other.n, other.x, other.z, other.phase_exp)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.x, self.z, self.phase_exp))
 
     def __str__(self) -> str:
         return _PHASE_PREFIX[self.phase_exp] + self.letters

@@ -60,6 +60,20 @@ class TestGen:
         assert out == ""
         assert "n must be positive" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["third", "--n", "3", "--k", "7"], "--k"),
+        (["chirality", "--n", "3", "--k", "0"], "--k"),
+        (["bus", "--n", "3", "--id", "I", "--k", "0"], "--k"),
+        (["e", "--n", "2", "--k", "0", "--id", "III"], "--id"),
+        (["d", "--n", "2", "--k", "0", "--id", "I"], "--id"),
+        (["third", "--n", "3", "--id", "II"], "--id"),
+    ])
+    def test_flag_the_kind_ignores_exits_two(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{flag} applies only to" in err
+
     def test_bad_kind_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "w", "--n", "2"])
@@ -291,6 +305,37 @@ class TestScheduleInputErrors:
         assert code == 2
         assert out == ""
         assert "tolerance must be positive" in err
+
+    @pytest.mark.parametrize("tolerance", ["-1", "0", "nan"])
+    def test_bad_tolerance_fails_before_the_schedule_is_built(self, capsys, monkeypatch, tolerance):
+        def never(*args, **kwargs):
+            raise AssertionError("the schedule was built or composed")
+
+        monkeypatch.setattr(dense, "random_schedule", never)
+        monkeypatch.setattr(dense, "run_schedule", never)
+        code, out, err = run_cli(
+            capsys, "schedule", "--random", "20000", "--n", "8", "--bus", "I,II", "--seed", "1",
+            "--tolerance", tolerance,
+        )
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be positive" in err
+
+    @pytest.mark.parametrize("theta", ["true", '"1.5"', "null"])
+    def test_angle_that_is_not_a_number_exits_two(self, capsys, tmp_path, theta):
+        path = tmp_path / "angle.json"
+        path.write_text('{"n": 2, "pulses": [{"gen": "e0", "theta": %s}]}' % theta)
+        code, out, err = run_cli(capsys, "schedule", str(path))
+        assert code == 2
+        assert out == ""
+        assert "pulse 0 angle must be a JSON number" in err
+
+    def test_integer_angle_runs(self, capsys, tmp_path):
+        path = tmp_path / "angle.json"
+        path.write_text('{"n": 2, "pulses": [{"gen": "e0", "theta": 1}]}')
+        code, out, _ = run_cli(capsys, "schedule", str(path))
+        assert code == 0
+        assert json.loads(out)["pulses"] == [{"gen": "e0", "theta": 1.0}]
 
 
 def test_json_keys_are_sorted(capsys):

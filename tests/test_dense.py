@@ -224,6 +224,20 @@ class TestScheduleJson:
         with pytest.raises(ValueError):
             PulseSchedule.from_json_dict({"n": 2, "pulses": [{"gen": "q9", "theta": 1}]})
 
+    @pytest.mark.parametrize("theta", [True, "1.5", None, [1.5]])
+    def test_angle_must_be_a_json_number(self, theta):
+        payload = {"n": 2, "pulses": [{"gen": "e0", "theta": 0.3}, {"gen": "e1", "theta": theta}]}
+        with pytest.raises(ValueError, match="pulse 1"):
+            PulseSchedule.from_json_dict(payload)
+
+    def test_integer_angle_is_accepted(self):
+        s = PulseSchedule.from_json_dict({"n": 2, "pulses": [{"gen": "e0", "theta": 1}]})
+        assert s.pulses[0][1] == 1.0 and type(s.pulses[0][1]) is float
+
+    def test_angle_too_large_for_a_float_is_rejected(self):
+        with pytest.raises(ValueError, match="malformed"):
+            PulseSchedule.from_json_dict({"n": 2, "pulses": [{"gen": "e0", "theta": 10**400}]})
+
     def test_random_schedule_is_seed_deterministic(self):
         assert random_schedule(2, ["I", "II"], 10, seed=5) == random_schedule(2, ["I", "II"], 10, seed=5)
         assert random_schedule(2, ["I", "II"], 10, seed=5) != random_schedule(2, ["I", "II"], 10, seed=6)
