@@ -8,6 +8,9 @@ group a gate set generates, and maps concrete pulse schedules both to a
 the chain's rotation frame.
 """
 
+import importlib.util
+import sys
+
 from .pauli import (
     DimensionMismatchError,
     PauliParseError,
@@ -45,18 +48,30 @@ from .closure import (
     closure_general,
     closure_strings,
 )
-from .dense import (
-    MembershipResult,
-    PulseSchedule,
-    adjoint_rotation,
-    exp_pulse,
-    pauli_decompose,
-    random_schedule,
-    rotation_json_dict,
-    run_schedule,
-    so_membership,
-    to_matrix,
-    unitarity_residual,
+# The dense layer is the only one that needs numpy at import.  It is
+# registered as a lazily executed module: `spinchain.dense` and
+# sys.modules["spinchain.dense"] exist from the start, and its body (and
+# numpy) runs on the first attribute read, so the exact-algebra layers and
+# the CLI commands built on them start without numpy.
+_spec = importlib.util.find_spec(f"{__name__}.dense")
+_spec.loader = importlib.util.LazyLoader(_spec.loader)
+dense = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = dense
+_spec.loader.exec_module(dense)
+del _spec
+
+_DENSE_NAMES = (
+    "MembershipResult",
+    "PulseSchedule",
+    "adjoint_rotation",
+    "exp_pulse",
+    "pauli_decompose",
+    "random_schedule",
+    "rotation_json_dict",
+    "run_schedule",
+    "so_membership",
+    "to_matrix",
+    "unitarity_residual",
 )
 
 __version__ = "0.1.0"
@@ -103,3 +118,17 @@ __all__ = [
     "unitarity_residual",
     "verify_car",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: called only for names not in the module globals.  The first
+    # read of a dense name binds all of them, so later reads are plain
+    # attribute reads with no hook in the way.
+    if name in _DENSE_NAMES:
+        globals().update({n: getattr(dense, n) for n in _DENSE_NAMES})
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -14,6 +14,7 @@ import json
 import sys
 
 from . import closure as closure_mod
+# dense (and numpy) is executed on its first attribute read, in _cmd_schedule.
 from . import dense, generators, operators
 
 FLOAT_DECIMALS = 12

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .operators import PauliSum
 from .pauli import ResourceLimitError, bits_product, bits_to_word, words_to_bits
 
@@ -149,6 +147,10 @@ def closure_general(n: int, generators: Sequence[PauliSum], tol: float = 1e-9) -
     larger than the index can only come from rounding error passing tol,
     and raises ValueError.
     """
+    # numpy is imported here, not at module level: the string closure and
+    # the CLI commands built on it run without it.
+    import numpy as np
+
     if not 0 < tol < float("inf"):
         raise ValueError("tol must be positive and finite")
     if not generators:

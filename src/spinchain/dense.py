@@ -19,6 +19,8 @@ leak vanishes and R is special orthogonal.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -212,7 +214,11 @@ class PulseSchedule:
         for index, (ref, theta) in enumerate(self.pulses):
             if ref.n != self.n:
                 raise ValueError(f"pulse generator is for n={ref.n}, schedule has n={self.n}")
-            if not np.isfinite(theta):
+            # The rule from_json_dict applies to JSON numbers: a real number
+            # (int, float, numpy float) that is not a bool.
+            if isinstance(theta, bool) or not isinstance(theta, numbers.Real):
+                raise ValueError(f"pulse {index} angle must be a real number, got {theta!r}")
+            if not math.isfinite(theta):
                 raise ValueError(f"pulse {index} has a non-finite angle {theta!r}")
 
     def to_json_dict(self) -> dict:

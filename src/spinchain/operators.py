@@ -36,8 +36,10 @@ from .pauli import (
 
 PRUNE_TOLERANCE = 1e-12
 
-# verify_car does O(n^2) bit products: about 0.3 s at n = 100 on a 2-core host.
-MAX_CAR_MODES = 100
+# verify_car does O(n^2) bit products.  The budget is about 3 s per check:
+# in process on a 2-core host it took 0.22 / 0.90 / 2.04 / 3.60 s at
+# n = 100 / 200 / 300 / 400, so the cap is 300.
+MAX_CAR_MODES = 300
 
 # Weights of e = 0..3 in each product, where wa*wb = i^e w and so wb*wa = i^-e w.
 _PRODUCT_WEIGHTS = (1, 1j, -1, -1j)  # A @ B: the phase i^e itself

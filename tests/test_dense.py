@@ -443,6 +443,18 @@ class TestScheduleValidation:
         with pytest.raises(ValueError, match="pulse 1 "):
             PulseSchedule(n=2, pulses=((ref, 0.1), (ref, theta)))
 
+    @pytest.mark.parametrize("theta", [True, "1.5", 1j, None])
+    def test_angle_that_is_not_a_real_number_names_the_pulse(self, theta):
+        ref = GeneratorRef("e", 2, index=0)
+        with pytest.raises(ValueError, match="pulse 1 angle must be a real number"):
+            PulseSchedule(n=2, pulses=((ref, 0.1), (ref, theta)))
+
+    @pytest.mark.parametrize("theta", [np.float64(0.3), 1])
+    def test_numpy_float_and_int_angles_accepted(self, theta):
+        ref = GeneratorRef("e", 2, index=0)
+        schedule = PulseSchedule(n=2, pulses=((ref, theta),))
+        assert np.allclose(run_schedule(schedule), exp_pulse(ref, float(theta)))
+
     def test_negative_random_length_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             random_schedule(2, ["I"], -5, seed=0)

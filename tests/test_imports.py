@@ -1,0 +1,99 @@
+"""Import guards: the exact-algebra commands start without numpy.
+
+numpy is imported by `dense` (loaded on first use) and inside
+`closure_general` only.  pytest has loaded numpy already, so each guard
+runs in a fresh interpreter.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import spinchain
+
+SRC = pathlib.Path(spinchain.__file__).resolve().parents[1]
+
+DENSE_NAMES = (
+    "MembershipResult", "PulseSchedule", "adjoint_rotation", "exp_pulse", "pauli_decompose",
+    "random_schedule", "rotation_json_dict", "run_schedule", "so_membership", "to_matrix",
+    "unitarity_residual",
+)
+
+# Runs cli.main on argv with stdout discarded, then prints the exit code
+# and whether numpy was imported.
+CLI_PROBE = """
+import contextlib, io, sys
+from spinchain.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def fresh(code, *argv):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["gen", "e", "--n", "4", "--k", "3"], 0),
+    (["gen", "d", "--n", "4", "--k", "2"], 0),
+    (["gen", "third", "--n", "3"], 0),
+    (["gen", "chirality", "--n", "3"], 0),
+    (["gen", "bus", "--n", "3", "--id", "III"], 0),
+    (["car", "--n", "20"], 0),
+    (["car", "--n", "4", "--inject-fault"], 1),
+    (["closure", "--n", "4", "--bus", "I,II,III"], 0),
+    (["closure", "--n", "3"], 2),
+])
+def test_algebra_commands_do_not_import_numpy(argv, code):
+    assert fresh(CLI_PROBE, *argv) == [str(code), "False"]
+
+
+def test_schedule_imports_numpy():
+    argv = ["schedule", "--random", "5", "--n", "2", "--bus", "I,II", "--seed", "1"]
+    assert fresh(CLI_PROBE, *argv) == ["0", "True"]
+
+
+def test_bare_import_defers_dense():
+    probe = """
+import sys
+import spinchain
+print("numpy" in sys.modules)
+print(spinchain.dense.PulseSchedule.__name__, "numpy" in sys.modules)
+print(spinchain.run_schedule is spinchain.dense.run_schedule)
+"""
+    assert fresh(probe) == ["False", "PulseSchedule", "True", "True"]
+
+
+def test_every_public_name_resolves():
+    for name in spinchain.__all__:
+        assert getattr(spinchain, name) is not None, name
+
+
+def test_dense_names_are_the_dense_objects_bound_once():
+    for name in DENSE_NAMES:
+        assert getattr(spinchain, name) is getattr(spinchain.dense, name)
+        # bound in the package globals: later reads do not go through __getattr__
+        assert vars(spinchain)[name] is getattr(spinchain.dense, name)
+
+
+def test_star_import_binds_all():
+    namespace = {}
+    exec("from spinchain import *", namespace)
+    assert set(spinchain.__all__) <= set(namespace)
+
+
+def test_dir_lists_all():
+    assert set(spinchain.__all__) <= set(dir(spinchain))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'nope'"):
+        spinchain.nope

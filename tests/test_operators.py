@@ -271,7 +271,7 @@ class TestCarVerification:
         assert all(0 in pair for _, pair, _ in failures)
 
     def test_mode_budget(self, monkeypatch):
-        assert operators.MAX_CAR_MODES == 100
+        assert operators.MAX_CAR_MODES == 300
         monkeypatch.setattr(operators, "MAX_CAR_MODES", 3)
         assert verify_car(3).ok
         with pytest.raises(ResourceLimitError, match="exceeds 3 modes"):
