@@ -139,13 +139,16 @@ def closure_general(n: int, generators: Sequence[PauliSum], tol: float = 1e-9) -
     Coordinates are the string closure of the generators' non-identity
     words; a generator term c*W with W*U = i^e K, e odd, maps coordinate
     U to 2(e-2)*c on K.  The identity direction is dropped: brackets never
-    produce it.  Each new basis vector is bracketed with every generator;
-    a bracket is projected out of the orthonormal basis twice and kept
-    when its residual norm exceeds tol, an absolute threshold.  The index
-    counts against MAX_CLOSURE_DIMENSION, so a job whose word closure
-    passes it raises ResourceLimitError however small its span.  A span
-    larger than the index can only come from rounding error passing tol,
-    and raises ValueError.
+    produce it.  Each new basis vector is bracketed with every generator
+    in one block, projected once onto the orthonormal basis as it stands;
+    a bracket with residual norm at most tol is dropped, as a larger span
+    could only shrink it.  The rest, in generator order, are projected
+    out of the current basis twice and kept when their residual norm
+    exceeds tol, an absolute threshold.
+    The index counts against MAX_CLOSURE_DIMENSION, so a job whose word
+    closure passes it raises ResourceLimitError however small its span.
+    A span larger than the index can only come from rounding error
+    passing tol, and raises ValueError.
     """
     # numpy is imported here, not at module level: the string closure and
     # the CLI commands built on it run without it.
@@ -167,12 +170,11 @@ def closure_general(n: int, generators: Sequence[PauliSum], tol: float = 1e-9) -
     known, _ = _word_closure(n, sorted({k for t in terms for k, _ in t}))
     index = {k: i for i, k in enumerate(sorted(known))}
     size = len(index)
-    actions = []
-    for t in terms:
-        entries = [(index[k], col, 2 * (e - 2) * c) for w, c in t for u, col in index.items()
-                   for e, k in [bits_product(w, u)] if e & 1]
-        rows, cols, vals = np.array(entries).reshape(-1, 3).T
-        actions.append((rows.astype(np.intp), cols.astype(np.intp), vals))
+    # All generator actions as one sparse map, generator g's rows offset by g * size.
+    entries = [(g * size + index[k], col, 2 * (e - 2) * c) for g, t in enumerate(terms)
+               for w, c in t for u, col in index.items() for e, k in [bits_product(w, u)] if e & 1]
+    rows, cols, vals = np.array(entries).reshape(-1, 3).T
+    rows, cols = rows.astype(np.intp), cols.astype(np.intp)
 
     basis = np.empty((1, size))
     dim = 0
@@ -203,8 +205,13 @@ def closure_general(n: int, generators: Sequence[PauliSum], tol: float = 1e-9) -
         rounds += 1
         frontier, start = basis[start:dim], dim
         for v in frontier:
-            for rows, cols, vals in actions:
-                try_add(np.bincount(rows, weights=vals * v[cols], minlength=size))
+            block = np.bincount(rows, weights=vals * v[cols], minlength=len(terms) * size)
+            block = block.reshape(len(terms), size)
+            block = block[block.any(axis=1)]  # a generator commuting with v brackets to 0
+            q = basis[:dim]
+            rest = block - (block @ q.T) @ q
+            for bracket in block[np.linalg.norm(rest, axis=1) > tol]:
+                try_add(bracket)
 
     return _report(n, dim, rounds, len(generators))
 

@@ -11,10 +11,12 @@ satisfy hold exactly in floating point.
 
 Word products a*b = i^e c of Hermitian words reverse as b*a = i^-e c, so
 the phase exponent e alone decides each bracket.  ``@``, ``commutator``
-and ``anticommutator`` share one pass over the term pairs, in which a
-pair adds ca*cb*weight[e] to word c with the weights (1, i, -1, -i),
-(0, 2i, 0, -2i) and (2, 0, -2, 0): a bracket is never the difference or
-sum of two full products.
+and ``anticommutator`` share one pass over the term pairs of two
+bit-keyed term lists, in which a pair adds ca*cb*weight[e] to word c
+with the weights (1, i, -1, -i), (0, 2i, 0, -2i) and (2, 0, -2, 0): a
+bracket is never the difference or sum of two full products.
+verify_car runs the same pass on the ladder operators' bits, builds no
+PauliSum per check, and computes each distinct anticommutator once.
 """
 
 from __future__ import annotations
@@ -36,15 +38,27 @@ from .pauli import (
 
 PRUNE_TOLERANCE = 1e-12
 
-# verify_car does O(n^2) bit products.  The budget is about 3 s per check:
-# in process on a 2-core host it took 0.22 / 0.90 / 2.04 / 3.60 s at
-# n = 100 / 200 / 300 / 400, so the cap is 300.
-MAX_CAR_MODES = 300
+# verify_car does about 4n^2 bit products.  The budget is about 3 s per
+# check: in process on a 2-core host it took 0.49 / 0.83 / 1.34 / 1.8-2.1 /
+# 2.5-3.0 / 3.8-4.3 s at n = 300 / 400 / 500 / 600 / 700 / 800, so the
+# cap is 600.
+MAX_CAR_MODES = 600
 
 # Weights of e = 0..3 in each product, where wa*wb = i^e w and so wb*wa = i^-e w.
 _PRODUCT_WEIGHTS = (1, 1j, -1, -1j)  # A @ B: the phase i^e itself
 _COMMUTATOR_WEIGHTS = (0, 2j, 0, -2j)  # i^e - i^-e: only anticommuting pairs count
 _ANTICOMMUTATOR_WEIGHTS = (2, 0, -2, 0)  # i^e + i^-e: only commuting pairs count
+
+
+def _term_product(a: Iterable, b: Iterable, weights: tuple[complex, ...]) -> dict[tuple[int, int], complex]:
+    """The one pass over term pairs: ((x, z), c) terms of a and b -> unpruned {(x, z): c}."""
+    out: dict[tuple[int, int], complex] = {}
+    for ka, ca in a:
+        for kb, cb in b:
+            exp, k = bits_product(ka, kb)
+            if weights[exp]:
+                out[k] = out.get(k, 0j) + ca * cb * weights[exp]
+    return out
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -170,13 +184,7 @@ class PauliSum:
 
     def _product(self, other: "PauliSum", weights: tuple[complex, ...]) -> "PauliSum":
         _check_same_n(self, other)
-        out: dict[tuple[int, int], complex] = {}
-        for ka, ca in self._terms.items():
-            for kb, cb in other._terms.items():
-                exp, k = bits_product(ka, kb)
-                if weights[exp]:
-                    out[k] = out.get(k, 0j) + ca * cb * weights[exp]
-        return PauliSum._from_dict(self.n, out)
+        return PauliSum._from_dict(self.n, _term_product(self._terms.items(), other._terms.items(), weights))
 
     def __matmul__(self, other) -> "PauliSum":
         """Operator product, distributing word products over all term pairs."""
@@ -276,9 +284,21 @@ class CarReport:
         }
 
 
+def _deviation(terms: dict[tuple[int, int], complex], less_identity: bool = False) -> float:
+    """Largest |c| of a pruned product, less the identity if asked, pruned again: 0.0 if none."""
+    if less_identity:
+        c = terms.get((0, 0), 0j)
+        terms[0, 0] = (c if abs(c) >= PRUNE_TOLERANCE else 0j) - 1
+    return max((m for c in terms.values() if (m := abs(c)) >= PRUNE_TOLERANCE), default=0.0)
+
+
 def verify_car(n: int, *, inject_fault: bool = False) -> CarReport:
     """Check {a_k, a_j} = 0, {a_k+, a_j+} = 0, {a_k, a_j+} = delta_kj
     over all mode pairs by symbolic anticommutators.
+
+    Only the pairs k <= j are computed; the rest follow exactly for any
+    operators, as {a_k+, a_j+} = {a_j, a_k}+, {a_j, a_k+} = {a_k, a_j+}+
+    and a dagger keeps every magnitude.
 
     inject_fault replaces the second chain operator with the identity
     word in a_0, a deliberate negative control that must produce failures.
@@ -287,28 +307,23 @@ def verify_car(n: int, *, inject_fault: bool = False) -> CarReport:
         raise ValueError("n must be positive")
     if n > MAX_CAR_MODES:
         raise ResourceLimitError(f"car at n={n} exceeds {MAX_CAR_MODES} modes")
-    ann = [annihilation_operator(n, k) for k in range(n)]
+    ops = [annihilation_operator(n, k) for k in range(n)]
     if inject_fault:
-        ann[0] = PauliSum.from_pauli(majorana(n, 0), 0.5) + PauliSum.identity(n, 0.5j)
-    cre = [a.dagger() for a in ann]
-    identity = PauliSum.identity(n)
+        ops[0] = PauliSum.from_pauli(majorana(n, 0), 0.5) + PauliSum.identity(n, 0.5j)
+    ann = [a.bit_items() for a in ops]
+    cre = [a.dagger().bit_items() for a in ops]
 
-    failures = []
-    worst = 0.0
+    found = {}  # (k, j, relation) -> deviation, for the nonzero ones
     for k in range(n):
-        for j in range(n):
-            ann_cre = ann[k].anticommutator(cre[j])
-            checks = (
-                ("ann-ann", ann[k].anticommutator(ann[j])),
-                ("cre-cre", cre[k].anticommutator(cre[j])),
-                ("ann-cre", ann_cre - identity if k == j else ann_cre),
-            )
-            for rel, residue in checks:
-                dev = residue.max_coeff()
-                worst = max(worst, dev)
+        for j in range(k, n):
+            same = _deviation(_term_product(ann[k], ann[j], _ANTICOMMUTATOR_WEIGHTS))
+            mixed = _deviation(_term_product(ann[k], cre[j], _ANTICOMMUTATOR_WEIGHTS), k == j)
+            for rel, dev in enumerate((same, same, mixed)):
                 if dev > 0.0:
-                    failures.append((rel, (k, j), dev))
-    return CarReport(n=n, max_deviation=worst, failures=tuple(failures))
+                    found[k, j, rel] = found[j, k, rel] = dev
+    names = ("ann-ann", "cre-cre", "ann-cre")
+    failures = tuple((names[rel], (k, j), dev) for (k, j, rel), dev in sorted(found.items()))
+    return CarReport(n=n, max_deviation=max(found.values(), default=0.0), failures=failures)
 
 
 def bilinear(n: int, j: int, k: int, kind: str) -> PauliSum:

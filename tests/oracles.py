@@ -3,10 +3,12 @@
 Everything here builds matrices from literal 2x2 Paulis and numpy only,
 and words from its own bit encoding, deliberately bypassing the
 package's own dense backend and closure engines, so agreement between
-the two is a real cross-check and not a tautology.  The exception is
-closure_general_gram_schmidt, the earlier general closure engine, kept
-as the reference for the one in the package: it does its Gram-Schmidt
-with PauliSum arithmetic instead of numpy rows over a word index.
+the two is a real cross-check and not a tautology.  The exceptions are
+earlier engines kept as references for the ones in the package:
+closure_general_gram_schmidt does its Gram-Schmidt with PauliSum
+arithmetic instead of numpy rows over a word index, and
+verify_car_all_pairs builds every ordered-pair anticommutator as a
+PauliSum.
 """
 
 import itertools
@@ -14,7 +16,14 @@ import math
 
 import numpy as np
 
-from spinchain import ClosureReport, classify_dimension
+from spinchain import (
+    CarReport,
+    ClosureReport,
+    PauliSum,
+    annihilation_operator,
+    classify_dimension,
+    majorana,
+)
 
 SIGMA = {
     "I": np.eye(2, dtype=complex),
@@ -252,3 +261,35 @@ def closure_general_gram_schmidt(n, generators, tol=1e-9):
 
     dim = len(basis)
     return ClosureReport(n, dim, classify_dimension(n, dim), rounds, dim * len(generators))
+
+
+def verify_car_all_pairs(n, inject_fault=False):
+    """CarReport from all 3n^2 ordered-pair anticommutators, each a PauliSum.
+
+    The earlier spinchain.verify_car, kept as its reference: same
+    relations, order of failures and negative control, no mode budget.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    ann = [annihilation_operator(n, k) for k in range(n)]
+    if inject_fault:
+        ann[0] = PauliSum.from_pauli(majorana(n, 0), 0.5) + PauliSum.identity(n, 0.5j)
+    cre = [a.dagger() for a in ann]
+    identity = PauliSum.identity(n)
+
+    failures = []
+    worst = 0.0
+    for k in range(n):
+        for j in range(n):
+            ann_cre = ann[k].anticommutator(cre[j])
+            checks = (
+                ("ann-ann", ann[k].anticommutator(ann[j])),
+                ("cre-cre", cre[k].anticommutator(cre[j])),
+                ("ann-cre", ann_cre - identity if k == j else ann_cre),
+            )
+            for rel, residue in checks:
+                dev = residue.max_coeff()
+                worst = max(worst, dev)
+                if dev > 0.0:
+                    failures.append((rel, (k, j), dev))
+    return CarReport(n=n, max_deviation=worst, failures=tuple(failures))

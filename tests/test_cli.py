@@ -98,10 +98,10 @@ class TestCar:
         assert payload["failures"]
 
     def test_past_mode_budget_exits_two(self, capsys):
-        code, out, err = run_cli(capsys, "car", "--n", "301")
+        code, out, err = run_cli(capsys, "car", "--n", "601")
         assert code == 2
         assert out == ""
-        assert "exceeds 300 modes" in err
+        assert "exceeds 600 modes" in err
 
 
 class TestClosure:

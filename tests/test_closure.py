@@ -302,11 +302,39 @@ def test_general_closure_tol_is_absolute():
     assert closure_general(3, gens, tol=1.0).dimension == 4**3 - 1
 
 
-@pytest.mark.parametrize("n", [5, 6, 7, 8])
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 10, 12, 16])
 def test_general_closure_of_all_bilinears_closed_form(n):
     report = closure_general(n, all_bilinears(n))
     assert report.dimension == 2 * n * n - n
     assert report.label == "so(2n)"
+
+
+_RELABEL = ({"X": "Y", "Y": "Z", "Z": "X"}, {"X": "Z", "Y": "X", "Z": "Y"})
+
+
+def relabelled_bilinears(n, seed):
+    """All bilinears, shuffled, with a per-qubit cyclic relabelling X -> Y -> Z -> X."""
+    rng = random.Random(seed)
+    shifts = [rng.randrange(3) for _ in range(n)]
+    gens = all_bilinears(n)
+    rng.shuffle(gens)
+
+    def relabel(word):
+        return "".join(ch if ch == "I" or s == 0 else _RELABEL[s - 1][ch]
+                       for ch, s in zip(word, shifts))
+
+    return [PauliSum(n, {relabel(w): c for w, c in g.items()}) for g in gens]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_general_closure_of_relabelled_bilinears_matches_gram_schmidt_oracle(n, seed):
+    gens = relabelled_bilinears(n, seed)
+    report = closure_general(n, gens)
+    reference = closure_general_gram_schmidt(n, gens)
+    assert (report.dimension, report.label, report.rounds, report.pairs_processed) == (
+        reference.dimension, reference.label, reference.rounds, reference.pairs_processed)
+    assert report.dimension == 2 * n * n - n
 
 
 @st.composite

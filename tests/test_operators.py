@@ -1,6 +1,7 @@
 """Tests for PauliSum arithmetic, ladder operators, CAR checks, bilinears."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from spinchain import (
 )
 from spinchain import operators
 
-from oracles import dense_of_terms, random_word
+import oracles
+from oracles import dense_of_terms, random_word, verify_car_all_pairs
 
 
 def random_sum(rng, n, nterms):
@@ -271,7 +273,7 @@ class TestCarVerification:
         assert all(0 in pair for _, pair, _ in failures)
 
     def test_mode_budget(self, monkeypatch):
-        assert operators.MAX_CAR_MODES == 300
+        assert operators.MAX_CAR_MODES == 600
         monkeypatch.setattr(operators, "MAX_CAR_MODES", 3)
         assert verify_car(3).ok
         with pytest.raises(ResourceLimitError, match="exceeds 3 modes"):
@@ -307,3 +309,40 @@ class TestBilinears:
     def test_kind_validation(self):
         with pytest.raises(ValueError):
             bilinear(2, 0, 1, "tunneling")
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_car_report_matches_all_pairs_oracle(n):
+    report = verify_car(n)
+    reference = verify_car_all_pairs(n)
+    assert report == reference
+    assert report.to_json_dict() == reference.to_json_dict()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_faulty_car_report_matches_all_pairs_oracle(n):
+    report = verify_car(n, inject_fault=True)
+    reference = verify_car_all_pairs(n, inject_fault=True)
+    assert report == reference
+    assert report.to_json_dict() == reference.to_json_dict()
+
+
+@st.composite
+def ladder_stand_ins(draw):
+    n = draw(st.integers(1, 4))
+    word = st.text("IXYZ", min_size=n, max_size=n)
+    # Dyadic coefficients, so every sum is exact in any order.
+    coeff = st.sampled_from([0.5, -1.0, 2.0, 0.5j, -1j, 2j])
+    terms = st.dictionaries(word, coeff, min_size=1, max_size=3)
+    return n, [PauliSum(n, t) for t in draw(st.lists(terms, min_size=n, max_size=n))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ladder_stand_ins())
+def test_car_mirrored_entries_hold_for_any_operators(case):
+    # verify_car computes only k <= j; the mirror identities must hold for any a_k.
+    n, ops = case
+    stand_in = lambda n_, k: ops[k]  # noqa: E731
+    with mock.patch.object(operators, "annihilation_operator", stand_in), \
+            mock.patch.object(oracles, "annihilation_operator", stand_in):
+        assert verify_car(n) == verify_car_all_pairs(n)
