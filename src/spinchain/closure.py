@@ -4,7 +4,11 @@ The Lie algebra generated by a set S is spanned by the right-normed
 brackets [s_k, ..., [s_1, s_0]] of its members (Wiersema et al.,
 arXiv:2309.05690).  One word loop realises that: the words found in a
 round form the next frontier and are multiplied only by the generator
-words they anticommute with, until a round adds nothing.  Past
+words they anticommute with, until a round adds nothing.  Each word is
+one int key (pauli.word_code; a product is an XOR) and carries a GF(2)
+mask of the generators it anticommutes with, which its product with
+generator j inherits as mask ^ mask(g_j), so the loop visits only those
+generators and never tests the commuting ones.  Past
 MAX_CLOSURE_DIMENSION words (4^9 - 1, su(2^9)) it raises ResourceLimitError.
 
 - closure_strings returns that word set: the real span of {i*w} is closed
@@ -13,7 +17,9 @@ MAX_CLOSURE_DIMENSION words (4^9 - 1, su(2^9)) it raises ResourceLimitError.
 - closure_general closes Hermitian PauliSums (e.g. the hopping/pairing
   bilinears).  Their brackets stay in the span of the string closure of
   their words, so it runs the same frontier over that fixed index with
-  numpy linear algebra: sparse generator actions and rank tracking.
+  numpy linear algebra: sparse generator actions and rank tracking.  The
+  index words' masks name the term words each one anticommutes with, so
+  the actions are built from those pairs only.
 
 Classification is by dimension only: the labels name the algebra whose
 dimension formula matches, and are not a proof of isomorphism type.
@@ -25,7 +31,14 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .operators import PauliSum
-from .pauli import ResourceLimitError, bits_product, bits_to_word, words_to_bits
+from .pauli import (
+    ResourceLimitError,
+    bits_product,
+    code_to_bits,
+    code_to_word,
+    word_code,
+    words_to_bits,
+)
 
 MAX_CLOSURE_DIMENSION = 4**9 - 1
 
@@ -37,8 +50,10 @@ class ClosureReport:
     basis is the sorted word list in string mode and None in general
     (rank-tracked) mode, where only the dimension is meaningful.
     rounds counts frontier rounds (bracket depth plus the final empty
-    round); pairs_processed counts the (element, generator) brackets
-    examined.  Both are fully determined by the input set.
+    round); pairs_processed counts the (element, generator) pairs the
+    closure covers, dimension times the number of generators, of which
+    only the anticommuting ones are bracketed (a commuting pair brackets
+    to 0).  Both are fully determined by the input set.
     """
 
     n: int
@@ -90,27 +105,41 @@ def _check_budget(n: int, size: int) -> None:
 
 
 def _report(n: int, dim: int, rounds: int, gen_count: int, basis=None) -> ClosureReport:
-    # Every element is bracketed once with every generator.
+    # Every element meets every generator once; only anticommuting pairs are bracketed.
     return ClosureReport(n, dim, classify_dimension(n, dim), rounds, dim * gen_count, basis)
 
 
-def _word_closure(n: int, gens: list[tuple[int, int]]) -> tuple[set[tuple[int, int]], int]:
-    """The frontier loop over bit-encoded words: (closed word set, rounds)."""
-    known = set(gens)
-    frontier = gens
+def _word_closure(n: int, gens: list[tuple[int, int]]) -> tuple[dict[int, int], int]:
+    """The frontier loop over word codes: ({code: mask} of the closed set, rounds).
+
+    Bit j of a word's mask says whether it anticommutes with gens[j].  The
+    symplectic form is bilinear over GF(2), so mask(w * g_j) = mask(w) ^
+    mask(g_j): each word inherits its mask from its parent, and the loop
+    visits only its set bits, lowest first, as a scan of every generator
+    in order would meet them.
+    """
+    # Slot j + 1 holds gens[j], so that a mask's lowest set bit low finds
+    # its generator at low.bit_length().
+    codes = [0] + [word_code(x, z) for x, z in gens]
+    masks = [0] + [sum((((x1 & z2) ^ (z1 & x2)).bit_count() & 1) << k
+                       for k, (x2, z2) in enumerate(gens)) for x1, z1 in gens]
+    known = dict(zip(codes[1:], masks[1:]))
+    frontier = list(known.items())
     rounds = 0
     while frontier:
         rounds += 1
         new = []
-        for x1, z1 in frontier:
-            for x2, z2 in gens:
-                # Anticommuting pair: the parity of bits_product's exponent, inline
-                # because a call per pair made this loop about 4x slower.
-                if (((x1 & z2) ^ (z1 & x2)).bit_count()) & 1:
-                    key = (x1 ^ x2, z1 ^ z2)
-                    if key not in known:
-                        known.add(key)
-                        new.append(key)
+        add = new.append
+        for code, mask in frontier:
+            todo = mask
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                j = low.bit_length()
+                key = code ^ codes[j]
+                if key not in known:
+                    known[key] = key_mask = mask ^ masks[j]
+                    add((key, key_mask))
             _check_budget(n, len(known))
         frontier = new
     return known, rounds
@@ -129,7 +158,7 @@ def closure_strings(n: int, generators: Iterable[str]) -> ClosureReport:
     if (0, 0) in gens:
         raise ValueError("the identity word is not a valid closure generator")
     known, rounds = _word_closure(n, gens)
-    basis = tuple(sorted(bits_to_word(x, z, n) for x, z in known))
+    basis = tuple(sorted(code_to_word(code, n) for code in known))
     return _report(n, len(basis), rounds, len(gens), basis)
 
 
@@ -167,12 +196,21 @@ def closure_general(n: int, generators: Sequence[PauliSum], tol: float = 1e-9) -
             raise ValueError("closure generators must be Hermitian (real coefficients)")
 
     terms = [[(k, c.real) for k, c in sorted(g.traceless().bit_items())] for g in generators]
-    known, _ = _word_closure(n, sorted({k for t in terms for k, _ in t}))
-    index = {k: i for i, k in enumerate(sorted(known))}
+    words = sorted({k for t in terms for k, _ in t})
+    known, _ = _word_closure(n, words)
+    columns = sorted((code_to_bits(code), mask) for code, mask in known.items())
+    index = {u: col for col, (u, _) in enumerate(columns)}
     size = len(index)
+    # The index columns each term word anticommutes with, in column order.
+    partners = {w: [] for w in words}
+    for col, (u, mask) in enumerate(columns):
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            partners[words[low.bit_length() - 1]].append((col, u))
     # All generator actions as one sparse map, generator g's rows offset by g * size.
     entries = [(g * size + index[k], col, 2 * (e - 2) * c) for g, t in enumerate(terms)
-               for w, c in t for u, col in index.items() for e, k in [bits_product(w, u)] if e & 1]
+               for w, c in t for col, u in partners[w] for e, k in [bits_product(w, u)]]
     rows, cols, vals = np.array(entries).reshape(-1, 3).T
     rows, cols = rows.astype(np.intp), cols.astype(np.intp)
 

@@ -14,8 +14,11 @@ Conventions:
 - Text form is ``[+|-][i]?<letters>``, e.g. ``"XY"``, ``"-iZX"``.
 - A word is the bit pair (x, z): X -> x, Z -> z, Y -> both, qubit 0 the
   most significant bit (the Kronecker order).  A PauliString holds n, x, z
-  and phase_exp; its letters are derived.  word_to_bits and bits_to_word
-  are the only converters, bits_product the one product.
+  and phase_exp; its letters are derived.  bits_product is the one product.
+- A word's code is spread(x) + 2 spread(z), one hex digit x_i + 2 z_i per
+  qubit, so the code of a product is the XOR of the factors' codes.
+  word_to_bits, bits_to_word, word_code, code_to_word and code_to_bits
+  are the only converters.
 """
 
 from __future__ import annotations
@@ -36,10 +39,12 @@ _PHASE_PREFIX = ("", "i", "-", "-i")
 # byte to "!" (find gives -1), which int() rejects, so translating validates.
 _X_DIGITS = bytes(b"0110!"[PAULI_LETTERS.find(chr(c))] for c in range(256))
 _Z_DIGITS = bytes(b"0011!"[PAULI_LETTERS.find(chr(c))] for c in range(256))
-# bits_to_word spreads bit i of x and z to hex digit i, so that x + 2z has
+# word_code spreads bit i of x and z to hex digit i, so that x + 2z has
 # the digit x_i + 2 z_i per qubit.  Bytes look their spread up.
 _SPREAD = tuple(int(f"{v:b}", 16) for v in range(256))
 _LETTERS_OF_DIGITS = str.maketrans("0123", "IXZY")
+_X_OF_DIGITS = str.maketrans("0123", "0101")
+_Z_OF_DIGITS = str.maketrans("0123", "0011")
 
 
 class DimensionMismatchError(ValueError):
@@ -227,9 +232,28 @@ def word_to_bits(word: str) -> tuple[int, int]:
 
 def bits_to_word(x: int, z: int, n: int) -> str:
     """Inverse of word_to_bits for an n-qubit word."""
+    return code_to_word(word_code(x, z), n)
+
+
+def word_code(x: int, z: int) -> int:
+    """The word's one-int key spread(x) + 2 spread(z): hex digit i is x_i + 2 z_i.
+
+    Codes multiply by XOR: the code of W(a) W(b) is word_code(*a) ^ word_code(*b).
+    """
     sx = _SPREAD[x] if x < 256 else int(f"{x:b}", 16)
     sz = _SPREAD[z] if z < 256 else int(f"{z:b}", 16)
-    return f"{sx + 2 * sz:x}".translate(_LETTERS_OF_DIGITS).rjust(n, "I")
+    return sx + 2 * sz
+
+
+def code_to_word(code: int, n: int) -> str:
+    """The n-qubit word of a word_code."""
+    return f"{code:x}".translate(_LETTERS_OF_DIGITS).rjust(n, "I")
+
+
+def code_to_bits(code: int) -> tuple[int, int]:
+    """Inverse of word_code: the bits (x, z)."""
+    digits = f"{code:x}"
+    return int(digits.translate(_X_OF_DIGITS), 2), int(digits.translate(_Z_OF_DIGITS), 2)
 
 
 def words_to_bits(n: int, words: Iterable[str]) -> list[tuple[int, int]]:

@@ -215,6 +215,36 @@ def closure_strings_all_pairs(n, words):
     return tuple(sorted(known.values()))
 
 
+def word_closure_all_generators(n, words):
+    """String closure by the frontier loop that tests every generator.
+
+    The words found in a round form the next frontier; each is multiplied
+    by every generator, in sorted word order, and the product of each
+    anticommuting pair not yet known is added, until a round adds nothing.
+    Returns (sorted basis, rounds, sizes), where sizes[i] is the number of
+    words known after the i-th frontier word.  Kept as the reference for
+    the engine that visits only the generators a word anticommutes with.
+    """
+    gens = [_word_bits(w) for w in sorted(set(words))]
+    known = set(gens)
+    frontier = gens
+    rounds = 0
+    sizes = []
+    while frontier:
+        rounds += 1
+        new = []
+        for x1, z1 in frontier:
+            for x2, z2 in gens:
+                if bin((x1 & z2) ^ (z1 & x2)).count("1") & 1:
+                    key = (x1 ^ x2, z1 ^ z2)
+                    if key not in known:
+                        known.add(key)
+                        new.append(key)
+            sizes.append(len(known))
+        frontier = new
+    return tuple(sorted(_bits_word(x, z, n) for x, z in known)), rounds, sizes
+
+
 def _inner(a, b):
     # Real coefficients throughout (Hermitian inputs, i*[A,B] brackets).
     small, big = (a._terms, b._terms) if len(a) <= len(b) else (b._terms, a._terms)

@@ -29,6 +29,7 @@ from oracles import (
     dense_of_terms,
     kron_word,
     random_word,
+    word_closure_all_generators,
 )
 
 
@@ -241,6 +242,68 @@ def test_generator_only_closure_matches_all_pairs_oracle(case):
 def test_bus_closures_match_all_pairs_oracle(n, ids):
     words = bus_words(n, ids)
     assert closure_strings(n, words).basis == closure_strings_all_pairs(n, words)
+
+
+def budget_sizes(monkeypatch):
+    """The closure sizes closure_strings passes to its budget check, as a list it fills."""
+    seen = []
+    check = closure_mod._check_budget
+
+    def spy(n, size):
+        seen.append(size)
+        check(n, size)
+
+    monkeypatch.setattr(closure_mod, "_check_budget", spy)
+    return seen
+
+
+# Y-heavy and commuting-only ("IZ", "IX") alphabets beside the full one.
+ALPHABETS = ("IXYZ", "IYYY", "XYY", "IZ", "IX", "XY")
+
+
+@st.composite
+def generator_lists(draw):
+    # n up to 70: codes pass 64 bits and bit masks pass the 256-entry spread table.
+    n = draw(st.integers(1, 70))
+    word = st.text(draw(st.sampled_from(ALPHABETS)), min_size=n, max_size=n)
+    words = draw(st.lists(word.filter(lambda w: w != "I" * n), min_size=1, max_size=8))
+    return n, words + draw(st.lists(st.sampled_from(words), max_size=3))  # with duplicates
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_lists())
+def test_masked_closure_matches_all_generator_loop(case):
+    n, words = case
+    basis, rounds, sizes = word_closure_all_generators(n, words)
+    with pytest.MonkeyPatch.context() as mp:
+        seen = budget_sizes(mp)
+        report = closure_strings(n, words)
+    assert (report.basis, report.rounds) == (basis, rounds)
+    assert seen == sizes
+
+
+@pytest.mark.parametrize("n,ids", [(9, ["I", "II"]), (17, ["I", "II"]), (40, ["I", "II"]),
+                                   (3, ["I", "II", "III"]), (4, ["I", "II", "III"])])
+def test_bus_closures_match_all_generator_loop(monkeypatch, n, ids):
+    words = bus_words(n, ids)
+    basis, rounds, sizes = word_closure_all_generators(n, words)
+    seen = budget_sizes(monkeypatch)
+    report = closure_strings(n, words)
+    assert (report.basis, report.rounds, seen) == (basis, rounds, sizes)
+
+
+@pytest.mark.parametrize("ids", [["I", "II"], ["I", "II", "III"]])
+def test_budget_error_comes_at_the_same_word_as_the_all_generator_loop(monkeypatch, ids):
+    words = bus_words(3, ids)
+    _, _, sizes = word_closure_all_generators(3, words)
+    seen = budget_sizes(monkeypatch)
+    for limit in range(1, sizes[-1]):
+        seen.clear()
+        monkeypatch.setattr(closure_mod, "MAX_CLOSURE_DIMENSION", limit)
+        with pytest.raises(ResourceLimitError, match=f"exceeds {limit} "):
+            closure_strings(3, words)
+        stop = next(i for i, size in enumerate(sizes) if size > limit)
+        assert seen == sizes[:stop + 1]
 
 
 @pytest.mark.parametrize(

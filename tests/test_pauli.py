@@ -14,7 +14,15 @@ from spinchain import (
     commutator,
     parse_pauli,
 )
-from spinchain.pauli import bits_product, bits_to_word, word_product, word_to_bits
+from spinchain.pauli import (
+    bits_product,
+    bits_to_word,
+    code_to_bits,
+    code_to_word,
+    word_code,
+    word_product,
+    word_to_bits,
+)
 
 from oracles import kron_word, letter_product, random_word
 
@@ -118,6 +126,34 @@ class TestWordBits:
         word = bits_to_word(x, z, n)
         assert len(word) == n
         assert word_to_bits(word) == (x, z)
+
+    def test_word_code_has_one_hex_digit_per_qubit(self):
+        # Digit x_i + 2 z_i, qubit 0 the most significant: X 1, Z 2, Y 3.
+        assert word_code(*word_to_bits("XZYI")) == 0x1230
+        assert code_to_word(0x1230, 4) == "XZYI"
+        assert code_to_word(0, 2) == "II"
+        assert code_to_bits(0x1230) == word_to_bits("XZYI")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 130).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1), st.integers(0, 2**n - 1))
+    ))
+    def test_code_round_trip(self, nxz):
+        n, x, z = nxz
+        code = word_code(x, z)
+        word = code_to_word(code, n)
+        assert word == bits_to_word(x, z, n)
+        assert word == "".join("IXZY"[(x >> i & 1) + 2 * (z >> i & 1)] for i in reversed(range(n)))
+        assert code_to_bits(code) == word_to_bits(word) == (x, z)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 130).flatmap(
+        lambda n: st.tuples(*[st.integers(0, 2**n - 1)] * 4)
+    ))
+    def test_code_of_a_product_is_the_xor_of_codes(self, bits):
+        x1, z1, x2, z2 = bits
+        _, (x, z) = bits_product((x1, z1), (x2, z2))
+        assert word_code(x1, z1) ^ word_code(x2, z2) == word_code(x, z)
 
     @pytest.mark.parametrize("bad", ["", "XQ", "I_X", " X", "+X", "-X", "0bX", "1X", "x", "X\ud800", "\u0660X"])
     def test_rejects_other_letters(self, bad):
