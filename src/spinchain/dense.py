@@ -7,10 +7,13 @@ words as signed permutations, Pauli coefficients as a table [x, z] (a
 gather and one +-1 sign-matrix product, O(8^n) under the n <= 8 cap)
 and to_matrix, whose sign product covers only the x a sum uses: O(4^n)
 per word, O(8^n) for a full sum.  A pulse exp(i t W) takes U to
-cos(t) U + i sin(t) W U in O(4^n), a diagonal W by one row scaling.
-The rotation R[b][a] = Re trace(g_b U g_a U+) / 2^n over the frame
-words g_a, U g_a U+ = sum_b R[b][a] g_b, is a sum of products of row
-and column gathers of U: O(n^2 4^n), no 2^n x 2^n matmul.  The leak
+cos(t) U + i sin(t) W U in O(4^n), with each generator's rows and phases
+cached across calls.  A diagonal W (no X or Y) only multiplies a pending
+2^n vector of row phases, O(2^n), which the next other pulse applies
+along with its own.  The rotation R[b][a] = Re trace(g_b U g_a U+) / 2^n
+over the frame words g_a, U g_a U+ = sum_b R[b][a] g_b, is a sum of
+products of row and column gathers of U: O(n^2 4^n), no 2^n x 2^n
+matmul.  The leak
 out of the frame's span is read from the tables of U g_a U+, one
 half-rank matmul each; U is in the group of buses I and II iff the
 leak vanishes and R is special orthogonal.
@@ -169,14 +172,27 @@ def _pulse_action(word: PauliString) -> tuple[np.ndarray, np.ndarray]:
     return rows, 1j * word.phase.real * phase
 
 
+def _check_angle(theta, pulse: str) -> None:
+    """A pulse angle is a finite real number (int, float, numpy float) that is not a bool.
+
+    It is the rule from_json_dict applies to JSON numbers; pulse names
+    the pulse in the message.
+    """
+    if isinstance(theta, bool) or not isinstance(theta, numbers.Real):
+        raise ValueError(f"{pulse} angle must be a real number, got {theta!r}")
+    if not math.isfinite(theta):
+        raise ValueError(f"{pulse} has a non-finite angle {theta!r}")
+
+
 def exp_pulse(gen: PulseGenerator, theta: float, n: int | None = None) -> np.ndarray:
-    """exp(i * theta * G) for a Hermitian generator G.
+    """exp(i * theta * G) for a Hermitian generator G and a finite real angle.
 
     Single Pauli words square to the identity, so the closed form
     cos(theta) I + i sin(theta) G applies; general Hermitian sums go
     through an eigendecomposition, which keeps the result unitary to
     machine precision.
     """
+    _check_angle(theta, "pulse")
     op = _resolve_generator(gen, n)
     if isinstance(op, PauliString):
         rows, phase = _pulse_action(op)
@@ -214,12 +230,7 @@ class PulseSchedule:
         for index, (ref, theta) in enumerate(self.pulses):
             if ref.n != self.n:
                 raise ValueError(f"pulse generator is for n={ref.n}, schedule has n={self.n}")
-            # The rule from_json_dict applies to JSON numbers: a real number
-            # (int, float, numpy float) that is not a bool.
-            if isinstance(theta, bool) or not isinstance(theta, numbers.Real):
-                raise ValueError(f"pulse {index} angle must be a real number, got {theta!r}")
-            if not math.isfinite(theta):
-                raise ValueError(f"pulse {index} has a non-finite angle {theta!r}")
+            _check_angle(theta, f"pulse {index}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -244,35 +255,66 @@ class PulseSchedule:
         return cls(n=n, pulses=tuple(pulses))
 
 
+# Distinct generators whose pulse actions run_schedule keeps between calls.
+# An entry holds at most 6 KB at n = 8 (2 KB of rows, 4 KB of row phases),
+# so the cache stays under 2 MB.
+_PULSE_ACTIONS = 256
+
+
+@functools.lru_cache(maxsize=_PULSE_ACTIONS)
+def _schedule_action(ref: GeneratorRef) -> tuple[np.ndarray | None, complex | np.ndarray]:
+    """Read-only rows and row phase of i W for ref's word W: (i W U)[r] = row_phase[r] U[rows[r]].
+
+    rows is None for a diagonal word (no X or Y), which permutes no rows.
+    row_phase is one complex for a word with no Z or Y (z = 0), whose
+    phase is the same on every row, and a 2^n x 1 column otherwise.
+    Deriving the actions on every call cost about 15 us per distinct
+    generator: 0.155 against 0.108 ms for 30 bus-I/II pulses at n = 2
+    (2-core host, in process).
+    """
+    word = ref.resolve()
+    rows, phase = _pulse_action(word)
+    row_phase = phase[rows, None]
+    for table in (rows, row_phase):
+        table.flags.writeable = False
+    return (None if word.x == 0 else rows), (complex(phase[0]) if word.z == 0 else row_phase)
+
+
 def run_schedule(schedule: PulseSchedule) -> np.ndarray:
     """Compose a schedule into a unitary; the first pulse is the rightmost factor.
 
     A pulse on a word W takes U to cos(t) U + i sin(t) W U, and W U is U
     with its rows permuted and scaled by W's phases, so each pulse costs
-    O(4^n) in place instead of an O(8^n) matmul.  A diagonal word (no X
-    or Y) permutes nothing, so its pulse is one row scaling of U by
-    cos(t) + i sin(t) W[r, r].
+    O(4^n) in place instead of an O(8^n) matmul.  The product so far is
+    held as diag(d) U: a diagonal word (no X or Y) permutes nothing, so
+    its pulse multiplies only the pending row phases d by
+    cos(t) + i sin(t) W[r, r], O(2^n).  The next pulse on a word with X
+    or Y applies d and resets it to 1, U -> a U + b U[rows] with
+    a = cos(t) d and b = sin(t) p d[rows], p the word's row phases.  d and
+    p stay Python numbers while they are the same on every row (no
+    diagonal pulse pending, a word with no Z or Y).
     """
     _check_n(schedule.n)
     u = np.eye(2**schedule.n, dtype=complex)
     wu = np.empty_like(u)
-    # One action per distinct generator; re-deriving it every pulse made
-    # small chains 2.5x slower (27 against 11 us/pulse at n = 2).
-    actions = {}
+    pending = 1.0
     for ref, theta in schedule.pulses:
-        if ref not in actions:
-            rows, phase = _pulse_action(ref.resolve())
-            actions[ref] = (None if rows[0] == 0 else rows), phase[rows, None]
-        rows, row_phase = actions[ref]
+        rows, row_phase = _schedule_action(ref)
+        cos, sin = math.cos(theta), math.sin(theta)
         if rows is None:
-            u *= np.cos(theta) + np.sin(theta) * row_phase
+            pending *= cos + sin * row_phase
             continue
         # rows is a permutation; mode="clip" skips the bounds check and the
         # buffered copy the default mode makes for out= (3x faster at n = 8).
         np.take(u, rows, axis=0, out=wu, mode="clip")
-        wu *= np.sin(theta) * row_phase
-        u *= np.cos(theta)
+        if isinstance(pending, np.ndarray):
+            wu *= sin * row_phase * pending[rows]
+        else:
+            wu *= sin * row_phase * pending
+        u *= cos * pending
         u += wu
+        pending = 1.0
+    u *= pending
     return u
 
 
@@ -295,8 +337,10 @@ def random_schedule(
 
 
 def unitarity_residual(u: np.ndarray) -> float:
-    """Largest entry of |U U+ - I|."""
+    """Largest entry of |U U+ - I| for a square matrix U."""
     u = np.asarray(u)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"U must be a square matrix, got shape {u.shape}")
     return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
 
 

@@ -424,6 +424,16 @@ class TestReadoutValidation:
             with pytest.raises(ValueError, match="tolerance must be positive"):
                 readout(np.eye(4), 2, tol=tol)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2), ()])
+    def test_unitarity_residual_needs_a_square_matrix(self, shape):
+        with pytest.raises(ValueError, match="square matrix"):
+            unitarity_residual(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_checked_unitary_rejects_a_non_square_matrix(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            dense._checked_unitary(np.ones(shape), 1, 1e-8)
+
     def test_non_finite_matrix_is_not_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             so_membership(np.full((2, 2), np.nan), 1)
@@ -454,6 +464,16 @@ class TestScheduleValidation:
         ref = GeneratorRef("e", 2, index=0)
         schedule = PulseSchedule(n=2, pulses=((ref, theta),))
         assert np.allclose(run_schedule(schedule), exp_pulse(ref, float(theta)))
+        assert np.array_equal(exp_pulse(ref, theta), exp_pulse(ref, float(theta)))
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf"), True, "1.5", 1j, None])
+    def test_exp_pulse_applies_the_schedule_angle_rule(self, theta):
+        for gen in (GeneratorRef("e", 2, index=0), PauliSum(2, {"XI": 1.0, "ZZ": 0.5})):
+            with pytest.raises(ValueError) as from_pulse:
+                exp_pulse(gen, theta, n=2)
+            with pytest.raises(ValueError) as from_schedule:
+                PulseSchedule(n=2, pulses=((GeneratorRef("e", 2, index=0), theta),))
+            assert str(from_schedule.value) == str(from_pulse.value).replace("pulse", "pulse 0", 1)
 
     def test_negative_random_length_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -549,9 +569,11 @@ def test_non_hermitian_raw_pulse_raises_like_exp_pulse():
     with pytest.raises(ValueError, match="not Hermitian") as from_pulse:
         exp_pulse(ref, 0.3)
     schedule = PulseSchedule(n=2, pulses=((GeneratorRef("e", 2, index=0), 0.1), (ref, 0.3)))
-    with pytest.raises(ValueError, match="not Hermitian") as from_schedule:
-        run_schedule(schedule)
-    assert str(from_schedule.value) == str(from_pulse.value)
+    # The pulse actions are cached across calls; a failed one must fail again.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not Hermitian") as from_schedule:
+            run_schedule(schedule)
+        assert str(from_schedule.value) == str(from_pulse.value)
 
 
 class TestMembershipNumbers:
@@ -728,3 +750,78 @@ class TestDiagonalPulses:
         minus = run_schedule(PulseSchedule(n=n, pulses=((parse_generator("-" + word, n), 0.9),)))
         assert np.array_equal(minus, plus.conj().T)
         assert np.max(np.abs(minus @ plus - np.eye(2**n))) < 1e-15
+
+
+def _signed(letters):
+    return st.tuples(st.sampled_from(["", "-"]), letters).map("".join)
+
+
+@st.composite
+def diagonal_run_schedules(draw):
+    """Mostly diagonal pulses (bus I, signed I/Z words, the identity word), rarely another, n <= 6."""
+    n = draw(st.integers(1, 6))
+    diagonal = st.one_of(
+        st.sampled_from([ref.label for ref in build_bus(n, "I").members]),
+        _signed(st.text("IZ", min_size=n, max_size=n)),
+        _signed(st.just("I" * n)),
+    )
+    bus_ids = ("II", "III") if n > 1 else ("II",)
+    other = st.one_of(
+        st.sampled_from([ref.label for bus_id in bus_ids for ref in build_bus(n, bus_id).members]),
+        _signed(st.text("IXYZ", min_size=n, max_size=n)),
+    )
+    labels = st.integers(0, 7).flatmap(lambda k: other if k == 0 else diagonal)
+    angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+    pulses = draw(st.lists(st.tuples(labels, angles), max_size=40))
+    return PulseSchedule(n=n, pulses=tuple((parse_generator(w, n), t) for w, t in pulses))
+
+
+def _oracle_unitary(schedule):
+    words = [(ref.resolve(), t) for ref, t in schedule.pulses]
+    return compose_pulses(schedule.n, [(p.letters, p.phase.real, t) for p, t in words])
+
+
+class TestPendingDiagonal:
+    """Runs of diagonal pulses fold into one pending row-phase vector, applied by the next pulse."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(diagonal_run_schedules())
+    def test_diagonal_runs_match_matmul_composition(self, schedule):
+        assert np.max(np.abs(run_schedule(schedule) - _oracle_unitary(schedule))) < 1e-12
+
+    def test_long_mostly_diagonal_schedule(self):
+        n = 3
+        rng = random.Random(16)
+        diagonal = [parse_generator(w, n) for w in ("III", "-III", "ZIZ", "-IZZ", "IIZ")]
+        diagonal += list(build_bus(n, "I").members)
+        other = list(build_bus(n, "II").members) + [GeneratorRef("third", n)]
+        pulses = tuple(
+            (rng.choice(other if rng.random() < 0.05 else diagonal), rng.uniform(-np.pi, np.pi))
+            for _ in range(5000)
+        )
+        schedule = PulseSchedule(n=n, pulses=pulses)
+        u = run_schedule(schedule)
+        assert unitarity_residual(u) < 1e-12
+        assert np.max(np.abs(u - _oracle_unitary(schedule))) < 1e-12
+
+    def test_equal_schedules_give_bit_identical_unitaries(self):
+        for buses in (["I", "II"], ["I", "II", "III"]):
+            dense._schedule_action.cache_clear()
+            cold = run_schedule(random_schedule(5, buses, 200, seed=16))
+            payload = random_schedule(5, buses, 200, seed=16).to_json_dict()
+            warm = run_schedule(PulseSchedule.from_json_dict(payload))
+            assert np.array_equal(cold, warm)
+
+    def test_cached_actions_are_read_only(self):
+        refs = [parse_generator(w, 3) for w in ("ZIZ", "-III", "XXI", "IYZ", "-XIY")]
+        for ref in refs:
+            for table in dense._schedule_action(ref):
+                if isinstance(table, np.ndarray):
+                    with pytest.raises(ValueError, match="read-only"):
+                        table[0] = table[1]
+
+    def test_action_cache_stays_under_two_megabytes(self):
+        # The largest entry: a word with X and Z at the dense limit.
+        rows, row_phase = dense._schedule_action(parse_generator("Y" * N_MAX_PIPELINE, N_MAX_PIPELINE))
+        assert dense._schedule_action.cache_info().maxsize == dense._PULSE_ACTIONS
+        assert dense._PULSE_ACTIONS * (rows.nbytes + row_phase.nbytes) <= 2 * 2**20
