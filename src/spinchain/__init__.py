@@ -60,20 +60,6 @@ sys.modules[_spec.name] = dense
 _spec.loader.exec_module(dense)
 del _spec
 
-_DENSE_NAMES = (
-    "MembershipResult",
-    "PulseSchedule",
-    "adjoint_rotation",
-    "exp_pulse",
-    "pauli_decompose",
-    "random_schedule",
-    "rotation_json_dict",
-    "run_schedule",
-    "so_membership",
-    "to_matrix",
-    "unitarity_residual",
-)
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -121,11 +107,12 @@ __all__ = [
 
 
 def __getattr__(name):
-    # PEP 562: called only for names not in the module globals.  The first
-    # read of a dense name binds all of them, so later reads are plain
-    # attribute reads with no hook in the way.
-    if name in _DENSE_NAMES:
-        globals().update({n: getattr(dense, n) for n in _DENSE_NAMES})
+    # PEP 562: called only for names not in the module globals, so a name
+    # of __all__ that gets here is a dense name.  The first such read binds
+    # all of them, so later reads are plain attribute reads with no hook in
+    # the way.
+    if name in __all__:
+        globals().update({n: getattr(dense, n) for n in __all__ if n not in globals()})
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

@@ -6,17 +6,18 @@ arXiv:quant-ph/0406196).  With a cached table of |a&b| mod 4 it gives
 words as signed permutations, Pauli coefficients as a table [x, z] (a
 gather and one +-1 sign-matrix product, O(8^n) under the n <= 8 cap)
 and to_matrix, whose sign product covers only the x a sum uses: O(4^n)
-per word, O(8^n) for a full sum.  A pulse exp(i t W) takes U to
-cos(t) U + i sin(t) W U in O(4^n), with each generator's rows and phases
-cached across calls.  A diagonal W (no X or Y) only multiplies a pending
-2^n vector of row phases, O(2^n), which the next other pulse applies
-along with its own.  The rotation R[b][a] = Re trace(g_b U g_a U+) / 2^n
-over the frame words g_a, U g_a U+ = sum_b R[b][a] g_b, is a sum of
-products of row and column gathers of U: O(n^2 4^n), no 2^n x 2^n
-matmul.  The leak
-out of the frame's span is read from the tables of U g_a U+, one
-half-rank matmul each; U is in the group of buses I and II iff the
-leak vanishes and R is special orthogonal.
+per word, O(8^n) for a full sum.  A pulse exp(i t W) on a word takes U
+to cos(t) U + i sin(t) W U in O(4^n), with each generator's rows and
+row phases cached across calls; exp_pulse on a word is the one-pulse
+schedule, and on a sum goes through eigh.  A diagonal W (no X or Y)
+only multiplies a pending 2^n vector of row phases, O(2^n), which the
+next other pulse applies along with its own.  The rotation
+R[b][a] = Re trace(g_b U g_a U+) / 2^n over the frame words g_a,
+U g_a U+ = sum_b R[b][a] g_b, is a sum of products of row and column
+gathers of U: O(n^2 4^n), no 2^n x 2^n matmul.  The leak out of the
+frame's span is read from the tables of U g_a U+, one half-rank matmul
+each; U is in the group of buses I and II iff the leak vanishes and R
+is special orthogonal.
 """
 
 from __future__ import annotations
@@ -61,9 +62,10 @@ def _sign_product(n: int, a: np.ndarray) -> np.ndarray:
 
 
 def _word_action(x: int, z: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """W(x, z) as W[rows[c], c] = phase[c]: rows[c] = c ^ x, phase[c] = i^(|x&z| + 2|c&z|)."""
+    """Row form of W(x, z): (W M)[r] = phase[r] M[r ^ x], phase[r] = i^(|x&z| + 2|(r^x)&z|)."""
     overlaps = _overlaps(n)
-    return np.arange(2**n) ^ x, _I_POWERS[(overlaps[x, z] + 2 * overlaps[:, z]) & 3]
+    rows = np.arange(2**n) ^ x
+    return rows, _I_POWERS[(overlaps[x, z] + 2 * overlaps[rows, z]) & 3]
 
 
 def to_matrix(op: Union[str, PauliString, PauliSum], n: int | None = None) -> np.ndarray:
@@ -147,58 +149,51 @@ def pauli_decompose(mat: np.ndarray) -> PauliSum:
 PulseGenerator = Union[GeneratorRef, PauliString, PauliSum, str]
 
 
-def _resolve_generator(gen: PulseGenerator, n: int | None):
-    if isinstance(gen, GeneratorRef):
-        if n is not None and gen.n != n:
-            raise ValueError(f"generator is for n={gen.n}, got n={n}")
-        return gen.resolve()
+def _resolve_generator(gen: PulseGenerator, n: int | None) -> Union[GeneratorRef, PauliSum]:
+    """A GeneratorRef for a word given any way, or the PauliSum as it is."""
     if isinstance(gen, str):
         if n is None:
             raise ValueError("n is required when the generator is given as text")
-        return parse_generator(gen, n).resolve()
-    if isinstance(gen, (PauliString, PauliSum)):
+        return parse_generator(gen, n)
+    if isinstance(gen, PauliString):
+        gen = GeneratorRef("raw", gen.n, raw=gen)
+    if isinstance(gen, (GeneratorRef, PauliSum)):
         if n is not None and gen.n != n:
             raise ValueError(f"generator acts on {gen.n} qubits, got n={n}")
         return gen
     raise TypeError(f"cannot interpret {type(gen).__name__} as a pulse generator")
 
 
-def _pulse_action(word: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """i W for a Hermitian word W, as _word_action gives W; other phases cannot drive a pulse."""
-    if not word.is_hermitian:
-        raise ValueError(f"pulse generator {word} is not Hermitian")
-    _check_n(word.n)
-    rows, phase = _word_action(word.x, word.z, word.n)
-    return rows, 1j * word.phase.real * phase
-
-
 def _check_angle(theta, pulse: str) -> None:
     """A pulse angle is a finite real number (int, float, numpy float) that is not a bool.
 
     It is the rule from_json_dict applies to JSON numbers; pulse names
-    the pulse in the message.
+    the pulse in the message.  A number too large for a float counts as
+    non-finite, and the message leaves it out: repr of an int of over
+    4300 digits raises.
     """
     if isinstance(theta, bool) or not isinstance(theta, numbers.Real):
         raise ValueError(f"{pulse} angle must be a real number, got {theta!r}")
-    if not math.isfinite(theta):
+    try:
+        finite = math.isfinite(theta)
+    except OverflowError:
+        raise ValueError(f"{pulse} has a non-finite angle too large for a float") from None
+    if not finite:
         raise ValueError(f"{pulse} has a non-finite angle {theta!r}")
 
 
 def exp_pulse(gen: PulseGenerator, theta: float, n: int | None = None) -> np.ndarray:
     """exp(i * theta * G) for a Hermitian generator G and a finite real angle.
 
-    Single Pauli words square to the identity, so the closed form
-    cos(theta) I + i sin(theta) G applies; general Hermitian sums go
+    A Pauli word (a GeneratorRef, text with n, or a PauliString) is the
+    one-pulse schedule, run by run_schedule.  A general Hermitian sum goes
     through an eigendecomposition, which keeps the result unitary to
     machine precision.
     """
     _check_angle(theta, "pulse")
     op = _resolve_generator(gen, n)
-    if isinstance(op, PauliString):
-        rows, phase = _pulse_action(op)
-        out = np.cos(theta) * np.eye(rows.size, dtype=complex)
-        out[rows, np.arange(rows.size)] += np.sin(theta) * phase
-        return out
+    if isinstance(op, GeneratorRef):
+        return run_schedule(PulseSchedule(op.n, ((op, theta),)))
     if not op.is_hermitian:
         raise ValueError("pulse generator must be Hermitian")
     evals, evecs = np.linalg.eigh(to_matrix(op))
@@ -226,8 +221,13 @@ class PulseSchedule:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
+        object.__setattr__(self, "pulses", tuple((ref, theta) for ref, theta in self.pulses))
         _check_schedule_length(len(self.pulses))
         for index, (ref, theta) in enumerate(self.pulses):
+            if not isinstance(ref, GeneratorRef):
+                raise TypeError(
+                    f"pulse {index} generator must be a GeneratorRef, got {type(ref).__name__}"
+                )
             if ref.n != self.n:
                 raise ValueError(f"pulse generator is for n={ref.n}, schedule has n={self.n}")
             _check_angle(theta, f"pulse {index}")
@@ -265,19 +265,21 @@ _PULSE_ACTIONS = 256
 def _schedule_action(ref: GeneratorRef) -> tuple[np.ndarray | None, complex | np.ndarray]:
     """Read-only rows and row phase of i W for ref's word W: (i W U)[r] = row_phase[r] U[rows[r]].
 
-    rows is None for a diagonal word (no X or Y), which permutes no rows.
-    row_phase is one complex for a word with no Z or Y (z = 0), whose
-    phase is the same on every row, and a 2^n x 1 column otherwise.
-    Deriving the actions on every call cost about 15 us per distinct
-    generator: 0.155 against 0.108 ms for 30 bus-I/II pulses at n = 2
-    (2-core host, in process).
+    W must be Hermitian; other phases cannot drive a pulse.  rows is None
+    for a diagonal word (no X or Y), which permutes no rows.  row_phase is
+    one complex for a word with no Z or Y (z = 0), whose phase is the same
+    on every row, and a 2^n x 1 column otherwise.  Deriving the actions
+    on every call cost about 15 us per distinct generator: 0.155 against
+    0.108 ms for 30 bus-I/II pulses at n = 2 (2-core host, in process).
     """
     word = ref.resolve()
-    rows, phase = _pulse_action(word)
-    row_phase = phase[rows, None]
+    if not word.is_hermitian:
+        raise ValueError(f"pulse generator {word} is not Hermitian")
+    rows, phase = _word_action(word.x, word.z, word.n)
+    row_phase = 1j * word.phase.real * phase[:, None]
     for table in (rows, row_phase):
         table.flags.writeable = False
-    return (None if word.x == 0 else rows), (complex(phase[0]) if word.z == 0 else row_phase)
+    return (None if word.x == 0 else rows), (complex(row_phase[0, 0]) if word.z == 0 else row_phase)
 
 
 def run_schedule(schedule: PulseSchedule) -> np.ndarray:
@@ -357,9 +359,7 @@ def _frame_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     (g_a M)[r] = row_phase[a, r] * M[rows[a, r]] for any matrix M.
     """
     bits = np.array([(g.x, g.z) for g in gamma_frame(n)])
-    actions = [_word_action(x, z, n) for x, z in bits.tolist()]
-    rows = np.array([r for r, _ in actions])
-    row_phase = np.array([phase[r] for r, phase in actions])
+    rows, row_phase = map(np.array, zip(*(_word_action(x, z, n) for x, z in bits.tolist())))
     for table in (bits, rows, row_phase):
         table.flags.writeable = False
     return bits[:, 0], bits[:, 1], rows, row_phase

@@ -160,8 +160,8 @@ class TestExpPulse:
             assert unitarity_residual(got) < 1e-12
 
     def test_closed_form_matches_eigendecomposition_path(self):
-        # same word through both code paths: PauliString takes the
-        # cos/sin closed form, the one-term PauliSum goes through eigh
+        # same word through both code paths: PauliString is the one-pulse
+        # schedule, the one-term PauliSum goes through eigh
         rng = random.Random(83)
         for _ in range(20):
             n = rng.randint(1, 4)
@@ -176,6 +176,31 @@ class TestExpPulse:
             exp_pulse(PauliString("X", 1j), 0.3)
         with pytest.raises(ValueError):
             exp_pulse(PauliSum(1, {"X": 1j}), 0.3)
+
+    def test_word_past_the_dense_limit(self):
+        word = "XY" + "Z" * (N_MAX_PIPELINE - 1)
+        n = len(word)
+        for gen, n_arg in ((PauliString(word), None), (word, n), (parse_generator(word, n), None)):
+            with pytest.raises(ResourceLimitError, match="dense limit"):
+                exp_pulse(gen, 0.3, n=n_arg)
+        u = exp_pulse(PauliString(word[1:]), 0.3)
+        assert u.shape == (2**N_MAX_PIPELINE, 2**N_MAX_PIPELINE)
+        assert unitarity_residual(u) < 1e-12
+
+    @pytest.mark.parametrize(
+        "gen", [GeneratorRef("e", 2, index=0), PauliString("XZ"), PauliSum(2, {"XZ": 1.0})]
+    )
+    def test_n_must_match_the_generator(self, gen):
+        with pytest.raises(ValueError, match="n=3"):
+            exp_pulse(gen, 0.3, n=3)
+
+    def test_text_needs_n(self):
+        with pytest.raises(ValueError, match="n is required"):
+            exp_pulse("XZ", 0.3)
+
+    def test_non_generator_rejected(self):
+        with pytest.raises(TypeError, match="int"):
+            exp_pulse(3, 0.3, n=2)
 
 
 class TestRunSchedule:
@@ -204,6 +229,19 @@ class TestRunSchedule:
     def test_mismatched_pulse_rejected(self):
         with pytest.raises(ValueError):
             PulseSchedule(n=2, pulses=((GeneratorRef("e", 3, index=0), 0.1),))
+
+    def test_generator_must_be_a_reference(self):
+        ref = GeneratorRef("e", 2, index=0)
+        with pytest.raises(TypeError, match="pulse 1 generator must be a GeneratorRef, got Pauli"):
+            PulseSchedule(n=2, pulses=((ref, 0.1), (PauliString("XZ"), 0.3)))
+
+    def test_pulses_are_stored_as_a_tuple_of_pairs(self):
+        ref = GeneratorRef("e", 2, index=0)
+        from_list = PulseSchedule(n=2, pulses=[[ref, 0.1], (ref, 0.3)])
+        from_tuple = PulseSchedule(n=2, pulses=((ref, 0.1), (ref, 0.3)))
+        assert from_list.pulses == ((ref, 0.1), (ref, 0.3))
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
 
 
 class TestScheduleJson:
@@ -447,7 +485,9 @@ class TestReadoutValidation:
 
 
 class TestScheduleValidation:
-    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "theta", [float("nan"), float("inf"), -float("inf"), pytest.param(10**400, id="10**400")]
+    )
     def test_non_finite_angle_names_the_pulse(self, theta):
         ref = GeneratorRef("e", 2, index=0)
         with pytest.raises(ValueError, match="pulse 1 "):
@@ -466,7 +506,11 @@ class TestScheduleValidation:
         assert np.allclose(run_schedule(schedule), exp_pulse(ref, float(theta)))
         assert np.array_equal(exp_pulse(ref, theta), exp_pulse(ref, float(theta)))
 
-    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf"), True, "1.5", 1j, None])
+    @pytest.mark.parametrize(
+        "theta",
+        [float("nan"), float("inf"), -float("inf"), pytest.param(10**400, id="10**400"),
+         True, "1.5", 1j, None],
+    )
     def test_exp_pulse_applies_the_schedule_angle_rule(self, theta):
         for gen in (GeneratorRef("e", 2, index=0), PauliSum(2, {"XI": 1.0, "ZZ": 0.5})):
             with pytest.raises(ValueError) as from_pulse:
