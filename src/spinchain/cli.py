@@ -14,8 +14,9 @@ import json
 import sys
 
 from . import closure as closure_mod
-# dense (and numpy) is executed on its first attribute read, in _cmd_schedule.
-from . import dense, generators, operators
+# dense (and numpy) is executed on its first attribute read, in _cmd_schedule
+# for a schedule that frame cannot read.
+from . import dense, frame, generators, operators
 
 FLOAT_DECIMALS = 12
 
@@ -116,30 +117,35 @@ def _cmd_closure(args) -> int:
     return 0
 
 
-def _load_schedule(args) -> dense.PulseSchedule:
+def _load_schedule(args) -> frame.PulseSchedule:
     if args.random is not None:
         if args.n is None or args.bus is None or args.seed is None:
             raise ValueError("--random requires --n, --bus, and --seed")
-        return dense.random_schedule(args.n, args.bus.split(","), args.random, args.seed)
+        return frame.random_schedule(args.n, args.bus.split(","), args.random, args.seed)
     if not args.file:
         raise ValueError("give a schedule file, or --random with --n/--bus/--seed")
     with open(args.file, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    return dense.PulseSchedule.from_json_dict(payload)
+    return frame.PulseSchedule.from_json_dict(payload)
 
 
 def _cmd_schedule(args) -> int:
-    dense._check_tolerance(args.tolerance)
+    """A schedule of frame bilinears is read as R in the rotation picture;
+    any other (bus III, the chirality) is composed into a dense unitary."""
+    frame._check_tolerance(args.tolerance)
     schedule = _load_schedule(args)
-    u = dense.run_schedule(schedule)
-    membership = dense.so_membership(u, schedule.n, tol=args.tolerance)
+    membership = frame.frame_membership(schedule, tol=args.tolerance)
+    if membership is None:
+        u = dense.run_schedule(schedule)
+        membership = dense.so_membership(u, schedule.n, tol=args.tolerance)
     payload = {
         "n": schedule.n,
         "pulses": schedule.to_json_dict()["pulses"],
         "unitarity_residual": membership.unitarity,
         "member": membership.member,
         "membership_residual": membership.residual,
-        "rotation": dense.rotation_json_dict(membership.rotation) if membership.member else None,
+        "rotation": (frame.rotation_json_dict(membership.rotation, membership.orthogonality)
+                     if membership.member else None),
     }
 
     def table(p):

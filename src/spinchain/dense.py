@@ -24,20 +24,25 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import random
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from .generators import GeneratorRef, build_bus, gamma_frame, parse_generator
+# The schedule value, its checks and the membership verdict are numpy-free
+# and live in frame; they are re-exported here as dense names.
+from .frame import (
+    MembershipResult,
+    PulseSchedule,
+    _check_angle,
+    _check_tolerance,
+    random_schedule,
+    rotation_json_dict,
+)
+from .generators import GeneratorRef, gamma_frame, parse_generator
 from .operators import PauliSum
 from .pauli import PauliString, ResourceLimitError
 
 N_MAX_PIPELINE = 8
-# Longest schedule accepted; each pulse costs O(4^n) when composed.
-MAX_SCHEDULE_PULSES = 10**5
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
@@ -164,24 +169,6 @@ def _resolve_generator(gen: PulseGenerator, n: int | None) -> Union[GeneratorRef
     raise TypeError(f"cannot interpret {type(gen).__name__} as a pulse generator")
 
 
-def _check_angle(theta, pulse: str) -> None:
-    """A pulse angle is a finite real number (int, float, numpy float) that is not a bool.
-
-    It is the rule from_json_dict applies to JSON numbers; pulse names
-    the pulse in the message.  A number too large for a float counts as
-    non-finite, and the message leaves it out: repr of an int of over
-    4300 digits raises.
-    """
-    if isinstance(theta, bool) or not isinstance(theta, numbers.Real):
-        raise ValueError(f"{pulse} angle must be a real number, got {theta!r}")
-    try:
-        finite = math.isfinite(theta)
-    except OverflowError:
-        raise ValueError(f"{pulse} has a non-finite angle too large for a float") from None
-    if not finite:
-        raise ValueError(f"{pulse} has a non-finite angle {theta!r}")
-
-
 def exp_pulse(gen: PulseGenerator, theta: float, n: int | None = None) -> np.ndarray:
     """exp(i * theta * G) for a Hermitian generator G and a finite real angle.
 
@@ -198,61 +185,6 @@ def exp_pulse(gen: PulseGenerator, theta: float, n: int | None = None) -> np.nda
         raise ValueError("pulse generator must be Hermitian")
     evals, evecs = np.linalg.eigh(to_matrix(op))
     return (evecs * np.exp(1j * theta * evals)) @ evecs.conj().T
-
-
-def _check_schedule_length(length: int) -> None:
-    if length > MAX_SCHEDULE_PULSES:
-        raise ResourceLimitError(
-            f"schedule of {length} pulses exceeds the limit of {MAX_SCHEDULE_PULSES}"
-        )
-
-
-@dataclass(frozen=True)
-class PulseSchedule:
-    """Ordered pulses (generator reference, angle) on an n-qubit chain.
-
-    List order is time order: the first pulse acts first, so the
-    composed unitary is exp(i t_m G_m) ... exp(i t_1 G_1).
-    """
-
-    n: int
-    pulses: tuple[tuple[GeneratorRef, float], ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        object.__setattr__(self, "pulses", tuple((ref, theta) for ref, theta in self.pulses))
-        _check_schedule_length(len(self.pulses))
-        for index, (ref, theta) in enumerate(self.pulses):
-            if not isinstance(ref, GeneratorRef):
-                raise TypeError(
-                    f"pulse {index} generator must be a GeneratorRef, got {type(ref).__name__}"
-                )
-            if ref.n != self.n:
-                raise ValueError(f"pulse generator is for n={ref.n}, schedule has n={self.n}")
-            _check_angle(theta, f"pulse {index}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "pulses": [{"gen": ref.label, "theta": float(theta)} for ref, theta in self.pulses],
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload) -> "PulseSchedule":
-        try:
-            n = payload["n"]
-            if not isinstance(n, int) or isinstance(n, bool):
-                raise ValueError(f"schedule n must be an integer, got {n!r}")
-            pulses = []
-            for index, p in enumerate(payload["pulses"]):
-                theta = p["theta"]
-                if isinstance(theta, bool) or not isinstance(theta, (int, float)):
-                    raise ValueError(f"pulse {index} angle must be a JSON number, got {theta!r}")
-                pulses.append((parse_generator(str(p["gen"]), n), float(theta)))
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed schedule payload: {exc}") from exc
-        return cls(n=n, pulses=tuple(pulses))
 
 
 # Distinct generators whose pulse actions run_schedule keeps between calls.
@@ -320,24 +252,6 @@ def run_schedule(schedule: PulseSchedule) -> np.ndarray:
     return u
 
 
-def random_schedule(
-    n: int, bus_ids: Sequence[str], length: int, seed: int
-) -> PulseSchedule:
-    """Seeded uniform schedule over the members of the given buses."""
-    if length < 0:
-        raise ValueError(f"schedule length must be non-negative, got {length}")
-    _check_schedule_length(length)
-    refs = [ref for bus_id in bus_ids for ref in build_bus(n, bus_id).members]
-    if not refs:
-        raise ValueError("no generators to draw from")
-    rng = random.Random(seed)
-    pulses = tuple(
-        (refs[rng.randrange(len(refs))], rng.uniform(0.0, 2.0 * np.pi))
-        for _ in range(length)
-    )
-    return PulseSchedule(n=n, pulses=pulses)
-
-
 def unitarity_residual(u: np.ndarray) -> float:
     """Largest entry of |U U+ - I| for a square matrix U."""
     u = np.asarray(u)
@@ -363,11 +277,6 @@ def _frame_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     for table in (bits, rows, row_phase):
         table.flags.writeable = False
     return bits[:, 0], bits[:, 1], rows, row_phase
-
-
-def _check_tolerance(tol: float) -> None:
-    if not (tol > 0 and np.isfinite(tol)):
-        raise ValueError("tolerance must be positive")
 
 
 def _checked_unitary(u: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, float]:
@@ -474,26 +383,6 @@ def adjoint_rotation(u: np.ndarray, n: int, tol: float = 1e-8) -> np.ndarray:
     return _rotation(_checked_unitary(u, n, tol)[0], n)
 
 
-@dataclass(frozen=True)
-class MembershipResult:
-    """Verdict of the rotation-group membership test.
-
-    residual is the largest Pauli coefficient of any conjugated frame
-    word that falls outside the frame's span.  rotation is the R that
-    adjoint_rotation returns for the same U, a rotation only for members.
-    orthogonality is max |R^T R - I| and det_deviation is |det R - 1|;
-    with residual they are the three numbers the verdict compares to tol.
-    unitarity is max |U U+ - I|, the input check's unitarity_residual.
-    """
-
-    member: bool
-    residual: float
-    rotation: np.ndarray | None = field(default=None, compare=False, repr=False)
-    orthogonality: float | None = field(default=None, compare=False, repr=False)
-    det_deviation: float | None = field(default=None, compare=False, repr=False)
-    unitarity: float | None = field(default=None, compare=False, repr=False)
-
-
 def so_membership(u: np.ndarray, n: int, tol: float = 1e-8) -> MembershipResult:
     """Decide whether conjugation by U acts as a rotation of the frame span.
 
@@ -512,14 +401,3 @@ def so_membership(u: np.ndarray, n: int, tol: float = 1e-8) -> MembershipResult:
     member = leak <= tol and ortho <= tol and det_dev <= tol
     return MembershipResult(member=member, residual=leak, rotation=r, orthogonality=ortho,
                             det_deviation=det_dev, unitarity=unitarity)
-
-
-def rotation_json_dict(r: np.ndarray) -> dict:
-    """Row-major JSON form of a rotation matrix plus its orthogonality residual."""
-    r = np.asarray(r)
-    residual = float(np.max(np.abs(r.T @ r - np.eye(r.shape[0]))))
-    return {
-        "size": int(r.shape[0]),
-        "entries": [[float(v) for v in row] for row in r],
-        "orthogonality_residual": residual,
-    }

@@ -4,9 +4,10 @@ import json
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
-from spinchain import dense
+from spinchain import dense, frame
 from spinchain.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -242,6 +243,32 @@ class TestSchedule:
         assert "0.0" in out
         assert not re.search(negative_zero, out)
 
+    def test_bilinear_schedule_past_dense_limit(self, capsys):
+        payload = run_json(capsys, "schedule", "--random", "200", "--n", "64", "--bus", "I,II",
+                           "--seed", "1")
+        assert payload["member"] is True
+        assert payload["membership_residual"] == 0.0
+        assert payload["rotation"]["size"] == 129
+        # no U on the rotation picture: unitarity_residual is R's orthogonality
+        assert payload["unitarity_residual"] == payload["rotation"]["orthogonality_residual"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--random", "30", "--n", "1", "--bus", "I,II", "--seed", "3"),
+        ("--random", "60", "--n", "3", "--bus", "I,II", "--seed", "4"),
+        ("--random", "200", "--n", "5", "--bus", "II", "--seed", "5"),
+        (str(DATA / "schedule_frame_n3.json"),),
+    ])
+    def test_rotation_picture_agrees_with_dense(self, capsys, monkeypatch, argv):
+        got = run_json(capsys, "schedule", *argv)
+        monkeypatch.setattr(frame, "frame_membership", lambda schedule, tol: None)
+        want = run_json(capsys, "schedule", *argv)
+        assert got["member"] is want["member"] is True
+        assert (got["n"], got["pulses"]) == (want["n"], want["pulses"])
+        assert np.max(np.abs(np.array(got["rotation"]["entries"])
+                             - np.array(want["rotation"]["entries"]))) <= 2e-12
+        for key in ("membership_residual", "unitarity_residual"):
+            assert abs(got[key] - want[key]) <= 1e-12
+
 
 class TestScheduleInputErrors:
     @pytest.mark.parametrize("theta", ["NaN", "Infinity", "-Infinity"])
@@ -279,7 +306,7 @@ class TestScheduleInputErrors:
         assert "non-negative" in err
 
     def test_random_count_past_budget_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setattr(dense, "MAX_SCHEDULE_PULSES", 5)
+        monkeypatch.setattr(frame, "MAX_SCHEDULE_PULSES", 5)
         code, out, err = run_cli(
             capsys, "schedule", "--random", "6", "--bus", "I", "--n", "2", "--seed", "1"
         )
@@ -288,13 +315,29 @@ class TestScheduleInputErrors:
         assert "exceeds the limit of 5" in err
 
     def test_schedule_file_past_budget_exits_two(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(dense, "MAX_SCHEDULE_PULSES", 5)
+        monkeypatch.setattr(frame, "MAX_SCHEDULE_PULSES", 5)
         path = tmp_path / "long.json"
         path.write_text(json.dumps({"n": 2, "pulses": [{"gen": "e0", "theta": 0.3}] * 6}))
         code, out, err = run_cli(capsys, "schedule", str(path))
         assert code == 2
         assert out == ""
         assert "exceeds the limit of 5" in err
+
+    def test_bilinear_schedule_past_rotation_picture_limit_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "schedule", "--random", "5", "--n", "100000", "--bus", "I,II", "--seed", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"exceeds the rotation-picture limit of {frame.MAX_FRAME_QUBITS}" in err
+
+    def test_bus_three_schedule_past_dense_limit_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "schedule", "--random", "5", "--n", "9", "--bus", "III", "--seed", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"exceeds the dense limit of {dense.N_MAX_PIPELINE}" in err
 
     @pytest.mark.parametrize("tolerance", ["-1", "0", "nan"])
     def test_non_positive_tolerance_exits_two(self, capsys, tolerance):
@@ -309,9 +352,10 @@ class TestScheduleInputErrors:
     @pytest.mark.parametrize("tolerance", ["-1", "0", "nan"])
     def test_bad_tolerance_fails_before_the_schedule_is_built(self, capsys, monkeypatch, tolerance):
         def never(*args, **kwargs):
-            raise AssertionError("the schedule was built or composed")
+            raise AssertionError("the schedule was built, read or composed")
 
-        monkeypatch.setattr(dense, "random_schedule", never)
+        monkeypatch.setattr(frame, "random_schedule", never)
+        monkeypatch.setattr(frame, "frame_membership", never)
         monkeypatch.setattr(dense, "run_schedule", never)
         code, out, err = run_cli(
             capsys, "schedule", "--random", "20000", "--n", "8", "--bus", "I,II", "--seed", "1",

@@ -30,7 +30,7 @@ from spinchain import (
     unitarity_residual,
 )
 
-from spinchain import dense
+from spinchain import dense, frame
 from spinchain.dense import N_MAX_PIPELINE
 from spinchain.generators import build_bus, parse_generator
 
@@ -673,13 +673,13 @@ class TestScheduleBudget:
     """MAX_SCHEDULE_PULSES caps schedules; tests lower it instead of building huge ones."""
 
     def test_random_schedule_over_budget(self, monkeypatch):
-        monkeypatch.setattr(dense, "MAX_SCHEDULE_PULSES", 5)
+        monkeypatch.setattr(frame, "MAX_SCHEDULE_PULSES", 5)
         assert len(random_schedule(2, ["I"], 5, seed=0).pulses) == 5
         with pytest.raises(ResourceLimitError, match="6 pulses exceeds the limit of 5"):
             random_schedule(2, ["I"], 6, seed=0)
 
     def test_schedule_constructor_over_budget(self, monkeypatch):
-        monkeypatch.setattr(dense, "MAX_SCHEDULE_PULSES", 5)
+        monkeypatch.setattr(frame, "MAX_SCHEDULE_PULSES", 5)
         ref = GeneratorRef("e", 2, index=0)
         PulseSchedule(n=2, pulses=((ref, 0.1),) * 5)
         with pytest.raises(ResourceLimitError, match="limit of 5"):

@@ -1,8 +1,10 @@
 """Import guards: the exact-algebra commands start without numpy.
 
 numpy is imported by `dense` (loaded on first use) and inside
-`closure_general` only.  pytest has loaded numpy already, so each guard
-runs in a fresh interpreter.
+`closure_general` only.  A `schedule` of frame bilinears is read in the
+rotation picture (`frame`) and starts without numpy too; any other
+schedule is composed by `dense`.  pytest has loaded numpy already, so
+each guard runs in a fresh interpreter.
 """
 
 import os
@@ -15,6 +17,7 @@ import pytest
 import spinchain
 
 SRC = pathlib.Path(spinchain.__file__).resolve().parents[1]
+FRAME_SCHEDULE = pathlib.Path(__file__).parent / "data" / "schedule_frame_n3.json"
 
 DENSE_NAMES = (
     "MembershipResult", "PulseSchedule", "adjoint_rotation", "exp_pulse", "pauli_decompose",
@@ -51,13 +54,16 @@ def fresh(code, *argv):
     (["car", "--n", "4", "--inject-fault"], 1),
     (["closure", "--n", "4", "--bus", "I,II,III"], 0),
     (["closure", "--n", "3"], 2),
+    (["schedule", "--random", "20", "--n", "4", "--bus", "I,II", "--seed", "1"], 0),
+    (["schedule", str(FRAME_SCHEDULE)], 0),
+    (["schedule", "--random", "200", "--n", "64", "--bus", "I,II", "--seed", "1"], 0),
 ])
 def test_algebra_commands_do_not_import_numpy(argv, code):
     assert fresh(CLI_PROBE, *argv) == [str(code), "False"]
 
 
 def test_schedule_imports_numpy():
-    argv = ["schedule", "--random", "5", "--n", "2", "--bus", "I,II", "--seed", "1"]
+    argv = ["schedule", "--random", "5", "--n", "2", "--bus", "III", "--seed", "1"]
     assert fresh(CLI_PROBE, *argv) == ["0", "True"]
 
 
@@ -70,6 +76,17 @@ print(spinchain.dense.PulseSchedule.__name__, "numpy" in sys.modules)
 print(spinchain.run_schedule is spinchain.dense.run_schedule)
 """
     assert fresh(probe) == ["False", "PulseSchedule", "True", "True"]
+
+
+def test_frame_names_resolve_without_numpy():
+    probe = """
+import sys
+import spinchain
+print(spinchain.PulseSchedule is spinchain.frame.PulseSchedule, "numpy" in sys.modules)
+print(spinchain.frame_membership is spinchain.frame.frame_membership, "numpy" in sys.modules)
+print(spinchain.PulseSchedule is spinchain.dense.PulseSchedule, "numpy" in sys.modules)
+"""
+    assert fresh(probe) == ["True", "False", "True", "False", "True", "True"]
 
 
 def test_every_public_name_resolves():
