@@ -15,8 +15,9 @@ import sys
 
 from . import closure as closure_mod
 # dense (and numpy) is executed on its first attribute read, in _cmd_schedule
-# for a schedule that frame cannot read.
+# for a schedule that frame cannot read (or to name its limit in an error).
 from . import dense, frame, generators, operators
+from .pauli import ResourceLimitError
 
 FLOAT_DECIMALS = 12
 
@@ -121,7 +122,16 @@ def _load_schedule(args) -> frame.PulseSchedule:
     if args.random is not None:
         if args.n is None or args.bus is None or args.seed is None:
             raise ValueError("--random requires --n, --bus, and --seed")
-        return frame.random_schedule(args.n, args.bus.split(","), args.random, args.seed)
+        bus_ids = args.bus.split(",")
+        # No path reads a longer chain, and drawing builds every bus member first.
+        if args.n > frame.MAX_FRAME_QUBITS:
+            if {b.strip().upper() for b in bus_ids} <= {"I", "II"}:
+                frame._check_frame_qubits(args.n)
+            raise ResourceLimitError(
+                f"n={args.n} exceeds the rotation-picture limit of {frame.MAX_FRAME_QUBITS} "
+                f"qubits and the dense limit of {dense.N_MAX_PIPELINE}"
+            )
+        return frame.random_schedule(args.n, bus_ids, args.random, args.seed)
     if not args.file:
         raise ValueError("give a schedule file, or --random with --n/--bus/--seed")
     with open(args.file, "r", encoding="utf-8") as fh:

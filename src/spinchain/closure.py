@@ -8,7 +8,9 @@ words they anticommute with, until a round adds nothing.  Each word is
 one int key (pauli.word_code; a product is an XOR) and carries a GF(2)
 mask of the generators it anticommutes with, which its product with
 generator j inherits as mask ^ mask(g_j), so the loop visits only those
-generators and never tests the commuting ones.  Past
+generators and never tests the commuting ones.  The generators' own
+masks come from pauli.anticommutation_masks, the exact layer's one
+mask builder (bit planes, no pair tested).  Past
 MAX_CLOSURE_DIMENSION words (4^9 - 1, su(2^9)) it raises ResourceLimitError.
 
 - closure_strings returns that word set: the real span of {i*w} is closed
@@ -33,6 +35,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .operators import PauliSum
 from .pauli import (
     ResourceLimitError,
+    anticommutation_masks,
     bits_product,
     code_to_bits,
     code_to_word,
@@ -121,8 +124,7 @@ def _word_closure(n: int, gens: list[tuple[int, int]]) -> tuple[dict[int, int], 
     # Slot j + 1 holds gens[j], so that a mask's lowest set bit low finds
     # its generator at low.bit_length().
     codes = [0] + [word_code(x, z) for x, z in gens]
-    masks = [0] + [sum((((x1 & z2) ^ (z1 & x2)).bit_count() & 1) << k
-                       for k, (x2, z2) in enumerate(gens)) for x1, z1 in gens]
+    masks = [0] + anticommutation_masks(gens, gens)
     known = dict(zip(codes[1:], masks[1:]))
     frontier = list(known.items())
     rounds = 0

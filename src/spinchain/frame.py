@@ -44,6 +44,13 @@ MAX_SCHEDULE_PULSES = 10**5
 MAX_FRAME_QUBITS = 128
 
 
+def _check_frame_qubits(n: int) -> None:
+    if n > MAX_FRAME_QUBITS:
+        raise ResourceLimitError(
+            f"n={n} exceeds the rotation-picture limit of {MAX_FRAME_QUBITS} qubits"
+        )
+
+
 def _check_angle(theta, pulse: str) -> None:
     """A pulse angle is a finite real number (int, float, numpy float) that is not a bool.
 
@@ -269,10 +276,7 @@ def frame_membership(schedule: PulseSchedule, tol: float = 1e-8) -> MembershipRe
             if planes[ref] is None:
                 return None
     n = schedule.n
-    if n > MAX_FRAME_QUBITS:
-        raise ResourceLimitError(
-            f"n={n} exceeds the rotation-picture limit of {MAX_FRAME_QUBITS} qubits"
-        )
+    _check_frame_qubits(n)
     size = 2 * n + 1
     r = [[float(i == j) for j in range(size)] for i in range(size)]
     for ref, theta in schedule.pulses:

@@ -16,7 +16,8 @@ bit-keyed term lists, in which a pair adds ca*cb*weight[e] to word c
 with the weights (1, i, -1, -i), (0, 2i, 0, -2i) and (2, 0, -2, 0): a
 bracket is never the difference or sum of two full products.
 verify_car runs the same pass on the ladder operators' bits, builds no
-PauliSum per check, and computes each distinct anticommutator once.
+PauliSum per check, and computes each distinct anticommutator once,
+skipping the mode pairs that pauli.anticommutation_masks shows add 0.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .pauli import (
     PauliString,
     ResourceLimitError,
     _check_same_n,
+    anticommutation_masks,
     bits_product,
     bits_to_word,
     word_to_bits,
@@ -38,11 +40,12 @@ from .pauli import (
 
 PRUNE_TOLERANCE = 1e-12
 
-# verify_car does about 4n^2 bit products.  The budget is about 3 s per
-# check: in process on a 2-core host it took 0.49 / 0.83 / 1.34 / 1.8-2.1 /
-# 2.5-3.0 / 3.8-4.3 s at n = 300 / 400 / 500 / 600 / 700 / 800, so the
-# cap is 600.
-MAX_CAR_MODES = 600
+# verify_car does about 8n bit products on a chain; its cost is the
+# anticommutation masks, about 2n^2 XORs of 2n-bit ints.  The budget is
+# about 3 s per check: in process on a 2-core host it took 0.17-0.24 /
+# 0.60-0.63 / 1.13-1.23 / 1.53-2.47 / 2.32-2.62 / 3.15-4.06 s at
+# n = 600 / 1000 / 1400 / 1600 / 1800 / 2000, so the cap is 1600.
+MAX_CAR_MODES = 1600
 
 # Weights of e = 0..3 in each product, where wa*wb = i^e w and so wb*wa = i^-e w.
 _PRODUCT_WEIGHTS = (1, 1j, -1, -1j)  # A @ B: the phase i^e itself
@@ -298,7 +301,12 @@ def verify_car(n: int, *, inject_fault: bool = False) -> CarReport:
 
     Only the pairs k <= j are computed; the rest follow exactly for any
     operators, as {a_k+, a_j+} = {a_j, a_k}+, {a_j, a_k+} = {a_k, a_j+}+
-    and a dagger keeps every magnitude.
+    and a dagger keeps every magnitude.  Of those, only the pairs where a
+    term of a_k commutes with a term of a_j are multiplied out, and k = j
+    always: in any other pair every term product is odd, so both
+    anticommutators are exactly 0.  An honest chain's Majorana words
+    pairwise anticommute, so it costs about 8n bit products; the
+    anticommutation masks, O(n^2) XORs of 2n-bit ints, dominate.
 
     inject_fault replaces the second chain operator with the identity
     word in a_0, a deliberate negative control that must produce failures.
@@ -312,10 +320,28 @@ def verify_car(n: int, *, inject_fault: bool = False) -> CarReport:
         ops[0] = PauliSum.from_pauli(majorana(n, 0), 0.5) + PauliSum.identity(n, 0.5j)
     ann = [a.bit_items() for a in ops]
     cre = [a.dagger().bit_items() for a in ops]
+    # The term words of a_0, a_1, ... in one list; term t belongs to mode owner[t].
+    words = [w for terms in ann for w, _ in terms]
+    owner = [k for k, terms in enumerate(ann) for _ in terms]
+    full = (1 << len(words)) - 1
+    commuting = [full ^ mask for mask in anticommutation_masks(words, words)]
 
     found = {}  # (k, j, relation) -> deviation, for the nonzero ones
+    start = 0
     for k in range(n):
-        for j in range(k, n):
+        stop = start + len(ann[k])
+        # Bit t of reach: term start + t, of a_k or a later mode, commutes with a term of a_k.
+        reach = 0
+        for t in range(start, stop):
+            reach |= commuting[t]
+        reach >>= start
+        partners = {k}
+        while reach:
+            low = reach & -reach
+            reach ^= low
+            partners.add(owner[start + low.bit_length() - 1])
+        start = stop
+        for j in partners:
             same = _deviation(_term_product(ann[k], ann[j], _ANTICOMMUTATOR_WEIGHTS))
             mixed = _deviation(_term_product(ann[k], cre[j], _ANTICOMMUTATOR_WEIGHTS), k == j)
             for rel, dev in enumerate((same, same, mixed)):

@@ -14,7 +14,8 @@ Conventions:
 - Text form is ``[+|-][i]?<letters>``, e.g. ``"XY"``, ``"-iZX"``.
 - A word is the bit pair (x, z): X -> x, Z -> z, Y -> both, qubit 0 the
   most significant bit (the Kronecker order).  A PauliString holds n, x, z
-  and phase_exp; its letters are derived.  bits_product is the one product.
+  and phase_exp; its letters are derived.  bits_product is the one product;
+  anticommutation_masks reads the commutation of many word pairs at once.
 - A word's code is spread(x) + 2 spread(z), one hex digit x_i + 2 z_i per
   qubit, so the code of a product is the XOR of the factors' codes.
   word_to_bits, bits_to_word, word_code, code_to_word and code_to_bits
@@ -24,7 +25,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 PAULI_LETTERS = "IXYZ"
 
@@ -171,6 +172,38 @@ def bits_product(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, tuple[int
     x, z = x1 ^ x2, z1 ^ z2
     e = (x1 & z1).bit_count() + (x2 & z2).bit_count() - (x & z).bit_count()
     return (e + 2 * (z1 & x2).bit_count()) & 3, (x, z)
+
+
+def anticommutation_masks(
+    a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]
+) -> list[int]:
+    """For each word of a (as bits), an int whose bit j is set iff it anticommutes with b[j].
+
+    Two words anticommute iff |x1&z2| + |z1&x2| is odd, a bit of the GF(2)
+    symplectic form, which is linear in each word.  So with the bit planes
+    X_q (bit j set iff b[j] has an x bit on qubit q) and Z_q (the same for
+    z), a word's mask is the XOR of Z_q over its x bits and of X_q over its
+    z bits: O(sum of popcounts) XORs of |b|-bit ints, no pair tested.
+    """
+    size = max((max(x, z).bit_length() for x, z in (*a, *b)), default=0)
+    x_planes, z_planes = [0] * size, [0] * size
+    for planes, bits in ((x_planes, 0), (z_planes, 1)):
+        for j, word in enumerate(b):
+            v, bit = word[bits], 1 << j
+            while v:
+                low = v & -v
+                v ^= low
+                planes[low.bit_length() - 1] |= bit
+    masks = []
+    for x, z in a:
+        mask = 0
+        for v, planes in ((x, z_planes), (z, x_planes)):
+            while v:
+                low = v & -v
+                v ^= low
+                mask ^= planes[low.bit_length() - 1]
+        masks.append(mask)
+    return masks
 
 
 def word_product(a: str, b: str) -> tuple[int, str]:

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from spinchain import dense, frame
+from spinchain import dense, frame, generators, operators
 from spinchain.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -99,10 +99,11 @@ class TestCar:
         assert payload["failures"]
 
     def test_past_mode_budget_exits_two(self, capsys):
-        code, out, err = run_cli(capsys, "car", "--n", "601")
+        cap = operators.MAX_CAR_MODES
+        code, out, err = run_cli(capsys, "car", "--n", str(cap + 1))
         assert code == 2
         assert out == ""
-        assert "exceeds 600 modes" in err
+        assert f"exceeds {cap} modes" in err
 
 
 class TestClosure:
@@ -330,6 +331,26 @@ class TestScheduleInputErrors:
         assert code == 2
         assert out == ""
         assert f"exceeds the rotation-picture limit of {frame.MAX_FRAME_QUBITS}" in err
+
+    def test_random_schedule_past_rotation_picture_limit_is_not_drawn(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a bus was built for a chain no path can read")
+
+        monkeypatch.setattr(generators, "build_bus", never)
+        monkeypatch.setattr(frame, "build_bus", never)
+        n = frame.MAX_FRAME_QUBITS + 1
+        limits = f"exceeds the rotation-picture limit of {frame.MAX_FRAME_QUBITS} qubits"
+        for buses, message in (
+            ("I,II", f"n={n} {limits}\n"),
+            ("III", f"n={n} {limits} and the dense limit of {dense.N_MAX_PIPELINE}\n"),
+            ("ii,III", f"n={n} {limits} and the dense limit of {dense.N_MAX_PIPELINE}\n"),
+        ):
+            code, out, err = run_cli(
+                capsys, "schedule", "--random", "5", "--n", str(n), "--bus", buses, "--seed", "1",
+            )
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {message}"
 
     def test_bus_three_schedule_past_dense_limit_exits_two(self, capsys):
         code, out, err = run_cli(

@@ -22,6 +22,7 @@ from spinchain import (
     verify_car,
 )
 from spinchain import operators
+from spinchain.pauli import bits_product
 
 import oracles
 from oracles import dense_of_terms, random_word, verify_car_all_pairs
@@ -273,7 +274,7 @@ class TestCarVerification:
         assert all(0 in pair for _, pair, _ in failures)
 
     def test_mode_budget(self, monkeypatch):
-        assert operators.MAX_CAR_MODES == 600
+        assert operators.MAX_CAR_MODES == 1600
         monkeypatch.setattr(operators, "MAX_CAR_MODES", 3)
         assert verify_car(3).ok
         with pytest.raises(ResourceLimitError, match="exceeds 3 modes"):
@@ -311,7 +312,7 @@ class TestBilinears:
             bilinear(2, 0, 1, "tunneling")
 
 
-@pytest.mark.parametrize("n", range(1, 17))
+@pytest.mark.parametrize("n", [*range(1, 17), 20, 32, 40])
 def test_car_report_matches_all_pairs_oracle(n):
     report = verify_car(n)
     reference = verify_car_all_pairs(n)
@@ -319,12 +320,27 @@ def test_car_report_matches_all_pairs_oracle(n):
     assert report.to_json_dict() == reference.to_json_dict()
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_faulty_car_report_matches_all_pairs_oracle(n):
     report = verify_car(n, inject_fault=True)
     reference = verify_car_all_pairs(n, inject_fault=True)
     assert report == reference
     assert report.to_json_dict() == reference.to_json_dict()
+
+
+def test_car_multiplies_only_commuting_term_pairs(monkeypatch):
+    # An honest chain's terms commute only with themselves: a_k meets a_k
+    # alone, 2 x 2 term pairs in each of its two anticommutators.
+    n = 50
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return bits_product(a, b)
+
+    monkeypatch.setattr(operators, "bits_product", counted)
+    assert verify_car(n).ok
+    assert 0 < len(calls) <= 8 * n
 
 
 @st.composite

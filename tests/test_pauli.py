@@ -15,6 +15,7 @@ from spinchain import (
     parse_pauli,
 )
 from spinchain.pauli import (
+    anticommutation_masks,
     bits_product,
     bits_to_word,
     code_to_bits,
@@ -225,6 +226,26 @@ class TestCommutation:
             q = PauliString(random_word(rng, n))
             pq, qp = p * q, q * p
             assert pq == qp or pq == -qp
+
+
+def word_lists(n):
+    return st.lists(words(n).map(word_to_bits), max_size=12)
+
+
+class TestAnticommutationMasks:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(word_lists(n), word_lists(n))))
+    def test_agrees_with_pairwise_product_parity(self, lists):
+        a, b = lists
+        expected = [sum((bits_product(u, v)[0] & 1) << j for j, v in enumerate(b)) for u in a]
+        assert anticommutation_masks(a, b) == expected
+
+    def test_examples(self):
+        # X anticommutes with Z and Y, commutes with X and I.
+        b = [word_to_bits(w) for w in ("I", "X", "Y", "Z")]
+        assert anticommutation_masks([word_to_bits("X")], b) == [0b1100]
+        assert anticommutation_masks([], b) == []
+        assert anticommutation_masks(b, []) == [0, 0, 0, 0]
 
 
 def test_associativity_exact():
