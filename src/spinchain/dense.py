@@ -11,7 +11,11 @@ to cos(t) U + i sin(t) W U in O(4^n), with each generator's rows and
 row phases cached across calls; exp_pulse on a word is the one-pulse
 schedule, and on a sum goes through eigh.  A diagonal W (no X or Y)
 only multiplies a pending 2^n vector of row phases, O(2^n), which the
-next other pulse applies along with its own.  The rotation
+next other pulse applies along with its own.  From n = 7 on, a pulse on
+one qubit or two adjacent ones (every bus word) multiplies into an open
+2 x 2 or 4 x 4 gate instead, and a gate reaches U in one batched matmul
+only when a pulse on an overlapping pair, a wider word or the end of the
+schedule closes it.  The rotation
 R[b][a] = Re trace(g_b U g_a U+) / 2^n over the frame words g_a,
 U g_a U+ = sum_b R[b][a] g_b, is a sum of products of row and column
 gathers of U: O(n^2 4^n), no 2^n x 2^n matmul.  The leak out of the
@@ -192,26 +196,154 @@ def exp_pulse(gen: PulseGenerator, theta: float, n: int | None = None) -> np.nda
 # so the cache stays under 2 MB.
 _PULSE_ACTIONS = 256
 
+# Smallest chain whose schedules run_schedule composes by gate fusion.  A
+# gate pass over U costs about what one in-place pulse costs, and fusion
+# adds small-gate work to every pulse: on 200-pulse bus-I/II schedules it
+# was 15-17 % faster at n = 7, 12-19 % slower at n = 6 and 40-70 % slower
+# at n = 3..5 (medians, 2-core host, one BLAS thread).
+_FUSE_MIN_QUBITS = 7
+
+_EYES = {2: np.eye(2), 4: np.eye(4)}
+
+
+def _hermitian_word(ref: GeneratorRef) -> PauliString:
+    """ref's word, which must be Hermitian: other phases cannot drive a pulse."""
+    word = ref.resolve()
+    if not word.is_hermitian:
+        raise ValueError(f"pulse generator {word} is not Hermitian")
+    return word
+
 
 @functools.lru_cache(maxsize=_PULSE_ACTIONS)
 def _schedule_action(ref: GeneratorRef) -> tuple[np.ndarray | None, complex | np.ndarray]:
     """Read-only rows and row phase of i W for ref's word W: (i W U)[r] = row_phase[r] U[rows[r]].
 
-    W must be Hermitian; other phases cannot drive a pulse.  rows is None
-    for a diagonal word (no X or Y), which permutes no rows.  row_phase is
-    one complex for a word with no Z or Y (z = 0), whose phase is the same
-    on every row, and a 2^n x 1 column otherwise.  Deriving the actions
-    on every call cost about 15 us per distinct generator: 0.155 against
-    0.108 ms for 30 bus-I/II pulses at n = 2 (2-core host, in process).
+    rows is None for a diagonal word (no X or Y), which permutes no rows.
+    row_phase is one complex for a word with no Z or Y (z = 0), whose
+    phase is the same on every row, and a 2^n x 1 column otherwise.
+    Deriving the actions on every call cost about 15 us per distinct
+    generator: 0.155 against 0.108 ms for 30 bus-I/II pulses at n = 2
+    (2-core host, in process).
     """
-    word = ref.resolve()
-    if not word.is_hermitian:
-        raise ValueError(f"pulse generator {word} is not Hermitian")
+    word = _hermitian_word(ref)
     rows, phase = _word_action(word.x, word.z, word.n)
     row_phase = 1j * word.phase.real * phase[:, None]
     for table in (rows, row_phase):
         table.flags.writeable = False
     return (None if word.x == 0 else rows), (complex(row_phase[0, 0]) if word.z == 0 else row_phase)
+
+
+@functools.lru_cache(maxsize=_PULSE_ACTIONS)
+def _local_action(ref: GeneratorRef) -> tuple[int, np.ndarray] | None:
+    """(q, read-only i W_q) when ref's word W acts on qubit q alone or on qubits q and q + 1.
+
+    W_q is W restricted to that window, a 2 x 2 or 4 x 4 matrix from the
+    same row form as _word_action's.  None for a wider word or the
+    identity word.
+    """
+    word = _hermitian_word(ref)
+    support = word.x | word.z
+    if support == 0:
+        return None
+    low = (support & -support).bit_length() - 1  # qubit 0 is the top bit
+    width = support.bit_length() - low
+    if width > 2:
+        return None
+    rows, phase = _word_action(word.x >> low, word.z >> low, width)
+    action = np.zeros((2**width, 2**width), dtype=complex)
+    action[np.arange(2**width), rows] = 1j * word.phase.real * phase
+    action.flags.writeable = False
+    return word.n - low - width, action
+
+
+def _on_qubits(gate: np.ndarray, top: int, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(gate on the qubits from top on) @ m: one matmul over m's rows viewed as [2^top, side, rest]."""
+    shape = (2**top, len(gate), -1)
+    out = None if out is None else out.reshape(shape)
+    return np.matmul(gate, m.reshape(shape), out=out).reshape(m.shape)
+
+
+def _pulse_in_place(u: np.ndarray, wu: np.ndarray, pending, ref: GeneratorRef, theta: float):
+    """Apply one pulse on ref's word to diag(pending) u, in place; return the new pending row phases.
+
+    wu is scratch of u's shape.
+    """
+    rows, row_phase = _schedule_action(ref)
+    cos, sin = math.cos(theta), math.sin(theta)
+    if rows is None:
+        return pending * (cos + sin * row_phase)
+    # rows is a permutation; mode="clip" skips the bounds check and the
+    # buffered copy the default mode makes for out= (3x faster at n = 8).
+    np.take(u, rows, axis=0, out=wu, mode="clip")
+    if isinstance(pending, np.ndarray):
+        wu *= sin * row_phase * pending[rows]
+    else:
+        wu *= sin * row_phase * pending
+    u *= cos * pending
+    u += wu
+    return 1.0
+
+
+def _apply_gate(gate: np.ndarray, top: int, u: np.ndarray, scratch: np.ndarray) -> tuple:
+    """One pass over U: (gate on the qubits from top on) @ U into scratch; return (scratch, u)."""
+    _on_qubits(gate, top, u, out=scratch)
+    return scratch, u
+
+
+def _merge_singles(gates: dict, q: int) -> np.ndarray:
+    """Pop the open one-qubit gates on q and q + 1 as one gate on the pair."""
+    gate = _EYES[4]
+    for j in (0, 1):
+        if len(gates.get(q + j, ())) == 2:
+            gate = _on_qubits(gates.pop(q + j), j, gate)
+    return gate
+
+
+def _flush(gates: dict, u: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply and close every open gate, one pass over U each, adjacent one-qubit gates together."""
+    for q in sorted(gates):
+        if len(gates.get(q, ())) == 2 and len(gates.get(q + 1, ())) == 2:
+            gates[q] = _merge_singles(gates, q)
+    for top, gate in gates.items():
+        u, scratch = _apply_gate(gate, top, u, scratch)
+    gates.clear()
+    return u, scratch
+
+
+def _run_fused(pulses, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """U from identity u by gate fusion; scratch is a buffer of u's shape.
+
+    gates maps a qubit q to the open gate on q (2 x 2) or on q and q + 1
+    (4 x 4); open gates act on disjoint qubits, so they commute.
+    """
+    gates = {}
+    pending = 1.0
+    for ref, theta in pulses:
+        local = _local_action(ref)
+        if local is None:
+            u, scratch = _flush(gates, u, scratch)
+            pending = _pulse_in_place(u, scratch, pending, ref, theta)
+            continue
+        if isinstance(pending, np.ndarray) or pending != 1.0:
+            u *= pending
+            pending = 1.0
+        q, action = local
+        pulse = math.cos(theta) * _EYES[len(action)] + math.sin(theta) * action
+        if len(action) == 4:
+            gate = gates.get(q)
+            if gate is None or len(gate) == 2:
+                for top in (q - 1, q + 1):
+                    if len(gates.get(top, ())) == 4:
+                        u, scratch = _apply_gate(gates.pop(top), top, u, scratch)
+                gate = _merge_singles(gates, q)
+            gates[q] = pulse @ gate
+        else:
+            top = q - 1 if len(gates.get(q - 1, ())) == 4 else q
+            gates[top] = _on_qubits(pulse, q - top, gates[top]) if top in gates else pulse
+    u, scratch = _flush(gates, u, scratch)
+    if isinstance(pending, np.ndarray) or pending != 1.0:
+        u *= pending
+    return u
 
 
 def run_schedule(schedule: PulseSchedule) -> np.ndarray:
@@ -227,27 +359,27 @@ def run_schedule(schedule: PulseSchedule) -> np.ndarray:
     a = cos(t) d and b = sin(t) p d[rows], p the word's row phases.  d and
     p stay Python numbers while they are the same on every row (no
     diagonal pulse pending, a word with no Z or Y).
+
+    From n = 7 on, pulses are fused into small gates first, as in
+    state-vector gate clustering (Haner & Steiger, arXiv:1704.01127).  A
+    word on one qubit or two adjacent ones (every bus word) multiplies
+    into the open gate on its qubit or pair, and a gate is applied to U,
+    one batched matmul, only when a pulse on an overlapping pair, a wider
+    word or the end of the schedule closes it.  A wider word closes every
+    open gate and then takes the in-place update; its pending d is
+    applied before the next local pulse.  On 200-pulse bus-I/II and I-III
+    schedules (seeds 1-3, medians, 2-core host, one BLAS thread) that is
+    42-61 gate passes instead of 93-109 pulse passes: 34-37 -> 11-19 ms at
+    n = 8 and 5.8-8.2 -> 4.1-6.0 ms at n = 7.
     """
     _check_n(schedule.n)
     u = np.eye(2**schedule.n, dtype=complex)
     wu = np.empty_like(u)
+    if schedule.n >= _FUSE_MIN_QUBITS:
+        return _run_fused(schedule.pulses, u, wu)
     pending = 1.0
     for ref, theta in schedule.pulses:
-        rows, row_phase = _schedule_action(ref)
-        cos, sin = math.cos(theta), math.sin(theta)
-        if rows is None:
-            pending *= cos + sin * row_phase
-            continue
-        # rows is a permutation; mode="clip" skips the bounds check and the
-        # buffered copy the default mode makes for out= (3x faster at n = 8).
-        np.take(u, rows, axis=0, out=wu, mode="clip")
-        if isinstance(pending, np.ndarray):
-            wu *= sin * row_phase * pending[rows]
-        else:
-            wu *= sin * row_phase * pending
-        u *= cos * pending
-        u += wu
-        pending = 1.0
+        pending = _pulse_in_place(u, wu, pending, ref, theta)
     u *= pending
     return u
 

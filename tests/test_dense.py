@@ -528,6 +528,18 @@ class TestScheduleValidation:
         with pytest.raises(ValueError, match="integer"):
             PulseSchedule.from_json_dict({"n": n, "pulses": []})
 
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_constructor_rejects_a_non_integer_n(self, n):
+        with pytest.raises(ValueError, match="schedule n must be an integer"):
+            PulseSchedule(n=n, pulses=())
+
+    def test_constructor_accepts_a_numpy_integer_n(self):
+        ref = GeneratorRef("e", 3, index=1)
+        schedule = PulseSchedule(n=np.int64(3), pulses=((ref, 0.4),))
+        assert type(schedule.n) is int
+        assert schedule == PulseSchedule(n=3, pulses=((ref, 0.4),))
+        assert np.array_equal(run_schedule(schedule), exp_pulse(ref, 0.4))
+
 
 class TestWordAction:
     """Every word matrix comes from one signed permutation; kron_word is the oracle."""
@@ -869,3 +881,96 @@ class TestPendingDiagonal:
         rows, row_phase = dense._schedule_action(parse_generator("Y" * N_MAX_PIPELINE, N_MAX_PIPELINE))
         assert dense._schedule_action.cache_info().maxsize == dense._PULSE_ACTIONS
         assert dense._PULSE_ACTIONS * (rows.nbytes + row_phase.nbytes) <= 2 * 2**20
+
+
+def _in_place(schedule):
+    """run_schedule's unitary with gate fusion switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dense, "_FUSE_MIN_QUBITS", N_MAX_PIPELINE + 1)
+        return run_schedule(schedule)
+
+
+def _fused(schedule):
+    """run_schedule's unitary with gate fusion at every n."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dense, "_FUSE_MIN_QUBITS", 1)
+        return run_schedule(schedule)
+
+
+@st.composite
+def fusion_schedules(draw):
+    """Local and wide pulses mixed, n <= 5: bus words, e0-e5, chirality, signed literals.
+
+    The literals include the non-adjacent XIX and the diagonal ZZ at every
+    offset, so pulses close open gates in every way: an overlapping pair,
+    a wide word, a wide diagonal word and the end of the schedule.
+    """
+    n = draw(st.integers(1, 5))
+    bus_ids = ("I", "II", "III") if n > 1 else ("I", "II")
+    labels = [ref.label for bus_id in bus_ids for ref in build_bus(n, bus_id).members]
+    labels += [f"e{k}" for k in range(min(6, 2 * n))] + ["chirality"]
+    placed = [
+        "I" * k + word + "I" * (n - k - len(word))
+        for word in ("XIX", "ZZ") for k in range(n - len(word) + 1)
+    ]
+    literals = _signed(st.text("IXYZ", min_size=n, max_size=n) | st.sampled_from(placed or ["I"]))
+    angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+    pulses = draw(st.lists(st.tuples(st.sampled_from(labels) | literals, angles), max_size=40))
+    return PulseSchedule(n=n, pulses=tuple((parse_generator(w, n), t) for w, t in pulses))
+
+
+class TestGateFusion:
+    """From n = 7 on, run_schedule fuses local pulses into 2 x 2 and 4 x 4 gates."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fusion_schedules())
+    def test_fused_matches_in_place_on_small_chains(self, schedule):
+        assert np.max(np.abs(_fused(schedule) - _in_place(schedule))) < 1e-13
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_fused_matches_in_place_at_large_n(self, n):
+        schedules = [random_schedule(n, ["I", "II", "III"], 200, seed=seed) for seed in (1, 2)]
+        rng = random.Random(n)
+        pulses = list(schedules[0].pulses)
+        for label in ("e5", "chirality", "e5", "chirality"):
+            pulses.insert(rng.randrange(len(pulses)), (parse_generator(label, n), rng.uniform(-3, 3)))
+        schedules.append(PulseSchedule(n=n, pulses=tuple(pulses)))
+        for schedule in schedules:
+            assert np.max(np.abs(run_schedule(schedule) - _in_place(schedule))) < 1e-13
+
+    @pytest.mark.parametrize("word", ["IIIXXIII", "IYIIIIII", "ZIIIIIII"])
+    def test_local_word_pulses_match_kronecker_exactly(self, word):
+        for sign in (1, -1):
+            want = np.cos(0.7) * np.eye(2 ** len(word)) + 1j * np.sin(0.7) * kron_word(word, sign)
+            assert np.array_equal(exp_pulse(PauliString(word, sign), 0.7), want), (sign, word)
+
+    def test_local_schedule_never_updates_in_place(self, monkeypatch):
+        schedule = random_schedule(N_MAX_PIPELINE, ["I", "II", "III"], 200, seed=5)
+        want = _in_place(schedule)
+
+        def never(*args):
+            raise AssertionError("a local pulse reached the in-place update")
+
+        monkeypatch.setattr(dense, "_pulse_in_place", never)
+        assert np.max(np.abs(run_schedule(schedule) - want)) < 1e-13
+
+    def test_non_hermitian_local_word_raises_like_exp_pulse(self):
+        n = N_MAX_PIPELINE
+        ref = GeneratorRef("raw", n, raw=PauliString("ZX" + "I" * (n - 2), 1j))
+        with pytest.raises(ValueError, match="not Hermitian") as from_pulse:
+            exp_pulse(ref, 0.3)
+        schedule = PulseSchedule(n=n, pulses=((GeneratorRef("e", n, index=0), 0.1), (ref, 0.3)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not Hermitian") as from_schedule:
+                run_schedule(schedule)
+            assert str(from_schedule.value) == str(from_pulse.value)
+
+    def test_local_actions_are_read_only_and_bounded(self):
+        assert dense._local_action.cache_info().maxsize == dense._PULSE_ACTIONS
+        assert dense._local_action(parse_generator("IXYZ", 4)) is None
+        assert dense._local_action(parse_generator("IIII", 4)) is None
+        for word, qubit in (("IXXI", 1), ("IIYZ", 2), ("-IIIZ", 3)):
+            q, action = dense._local_action(parse_generator(word, 4))
+            assert q == qubit
+            with pytest.raises(ValueError, match="read-only"):
+                action[0, 0] = 0
