@@ -11,11 +11,11 @@ to cos(t) U + i sin(t) W U in O(4^n), with each generator's rows and
 row phases cached across calls; exp_pulse on a word is the one-pulse
 schedule, and on a sum goes through eigh.  A diagonal W (no X or Y)
 only multiplies a pending 2^n vector of row phases, O(2^n), which the
-next other pulse applies along with its own.  From n = 7 on, a pulse on
-one qubit or two adjacent ones (every bus word) multiplies into an open
-2 x 2 or 4 x 4 gate instead, and a gate reaches U in one batched matmul
-only when a pulse on an overlapping pair, a wider word or the end of the
-schedule closes it.  The rotation
+next other pulse applies along with its own.  From n = 6 on, a schedule
+is planned first: one pass in integers groups its pulses into windows of
+at most three adjacent qubits, each window's product is built in batched
+array steps, and each window reaches U as one gate, one batched matmul;
+only wider words take the in-place update.  The rotation
 R[b][a] = Re trace(g_b U g_a U+) / 2^n over the frame words g_a,
 U g_a U+ = sum_b R[b][a] g_b, is a sum of products of row and column
 gathers of U: O(n^2 4^n), no 2^n x 2^n matmul.  The leak out of the
@@ -38,6 +38,7 @@ from .frame import (
     MembershipResult,
     PulseSchedule,
     _check_angle,
+    _check_schedule_qubits,
     _check_tolerance,
     random_schedule,
     rotation_json_dict,
@@ -191,19 +192,22 @@ def exp_pulse(gen: PulseGenerator, theta: float, n: int | None = None) -> np.nda
     return (evecs * np.exp(1j * theta * evals)) @ evecs.conj().T
 
 
-# Distinct generators whose pulse actions run_schedule keeps between calls.
-# An entry holds at most 6 KB at n = 8 (2 KB of rows, 4 KB of row phases),
-# so the cache stays under 2 MB.
+# Distinct generators (or generator windows) whose pulse actions
+# run_schedule keeps between calls.  An entry holds at most 6 KB at n = 8
+# (2 KB of rows, 4 KB of row phases), a window action 2 KB, so each cache
+# stays under 2 MB.
 _PULSE_ACTIONS = 256
 
-# Smallest chain whose schedules run_schedule composes by gate fusion.  A
-# gate pass over U costs about what one in-place pulse costs, and fusion
-# adds small-gate work to every pulse: on 200-pulse bus-I/II schedules it
-# was 15-17 % faster at n = 7, 12-19 % slower at n = 6 and 40-70 % slower
-# at n = 3..5 (medians, 2-core host, one BLAS thread).
-_FUSE_MIN_QUBITS = 7
-
-_EYES = {2: np.eye(2), 4: np.eye(4)}
+# Smallest chain whose schedules run_schedule plans into gates, and the
+# widest window a gate covers; run_schedule gives the measurements.
+_FUSE_MIN_QUBITS = 6
+_GATE_QUBITS = 3
+_FRAME = 2**_GATE_QUBITS  # rows of a window's frame
+_BLOCK_EYE = np.eye(2 * _FRAME)
+# Most pulses whose factors run_schedule stacks at once.  With runs padded
+# to powers of two that is at most 2,048 blocks of 2 KB, plus half that
+# again for the tree's second buffer: about 6 MB at any schedule length.
+_GATE_BATCH = 1024
 
 
 def _hermitian_word(ref: GeneratorRef) -> PauliString:
@@ -234,33 +238,31 @@ def _schedule_action(ref: GeneratorRef) -> tuple[np.ndarray | None, complex | np
 
 
 @functools.lru_cache(maxsize=_PULSE_ACTIONS)
-def _local_action(ref: GeneratorRef) -> tuple[int, np.ndarray] | None:
-    """(q, read-only i W_q) when ref's word W acts on qubit q alone or on qubits q and q + 1.
-
-    W_q is W restricted to that window, a 2 x 2 or 4 x 4 matrix from the
-    same row form as _word_action's.  None for a wider word or the
-    identity word.
-    """
+def _support(ref: GeneratorRef) -> tuple[int, int]:
+    """(top, width) when ref's word acts on qubits top .. top + width - 1 only; (0, 0) for the identity."""
     word = _hermitian_word(ref)
     support = word.x | word.z
-    if support == 0:
-        return None
     low = (support & -support).bit_length() - 1  # qubit 0 is the top bit
     width = support.bit_length() - low
-    if width > 2:
-        return None
-    rows, phase = _word_action(word.x >> low, word.z >> low, width)
-    action = np.zeros((2**width, 2**width), dtype=complex)
-    action[np.arange(2**width), rows] = 1j * word.phase.real * phase
-    action.flags.writeable = False
-    return word.n - low - width, action
+    return (word.n - low - width, width) if support else (0, 0)
 
 
-def _on_qubits(gate: np.ndarray, top: int, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(gate on the qubits from top on) @ m: one matmul over m's rows viewed as [2^top, side, rest]."""
-    shape = (2**top, len(gate), -1)
-    out = None if out is None else out.reshape(shape)
-    return np.matmul(gate, m.reshape(shape), out=out).reshape(m.shape)
+@functools.lru_cache(maxsize=_PULSE_ACTIONS)
+def _window_action(ref: GeneratorRef, top: int, width: int) -> np.ndarray:
+    """Read-only real form [[Re A, -Im A], [Im A, Re A]] of A = i W (x) I, W ref's word on its window.
+
+    The window, qubits top .. top + width - 1, fills the top qubits of a
+    _FRAME-row frame.  A product P of such blocks holds the window's gate
+    G as G (x) I = P[:_FRAME, :_FRAME] + i P[_FRAME:, :_FRAME].
+    """
+    word = _hermitian_word(ref)
+    drop = word.n - top  # bits below the window's frame
+    rows, phase = _word_action(word.x << _GATE_QUBITS >> drop, word.z << _GATE_QUBITS >> drop, _GATE_QUBITS)
+    action = np.zeros((_FRAME, _FRAME), dtype=complex)
+    action[np.arange(_FRAME), rows] = 1j * word.phase.real * phase
+    block = np.block([[action.real, -action.imag], [action.imag, action.real]])
+    block.flags.writeable = False
+    return block
 
 
 def _pulse_in_place(u: np.ndarray, wu: np.ndarray, pending, ref: GeneratorRef, theta: float):
@@ -286,64 +288,128 @@ def _pulse_in_place(u: np.ndarray, wu: np.ndarray, pending, ref: GeneratorRef, t
 
 def _apply_gate(gate: np.ndarray, top: int, u: np.ndarray, scratch: np.ndarray) -> tuple:
     """One pass over U: (gate on the qubits from top on) @ U into scratch; return (scratch, u)."""
-    _on_qubits(gate, top, u, out=scratch)
+    shape = (2**top, len(gate), -1)
+    np.matmul(gate, u.reshape(shape), out=scratch.reshape(shape))
     return scratch, u
 
 
-def _merge_singles(gates: dict, q: int) -> np.ndarray:
-    """Pop the open one-qubit gates on q and q + 1 as one gate on the pair."""
-    gate = _EYES[4]
-    for j in (0, 1):
-        if len(gates.get(q + j, ())) == 2:
-            gate = _on_qubits(gates.pop(q + j), j, gate)
-    return gate
+def _close(plan: list, owner: list, windows) -> None:
+    """Append the open windows to the plan and free their qubits."""
+    for window in windows:
+        plan.append(window)
+        owner[window[0]:window[0] + window[1]] = [None] * window[1]
 
 
-def _flush(gates: dict, u: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply and close every open gate, one pass over U each, adjacent one-qubit gates together."""
-    for q in sorted(gates):
-        if len(gates.get(q, ())) == 2 and len(gates.get(q + 1, ())) == 2:
-            gates[q] = _merge_singles(gates, q)
-    for top, gate in gates.items():
-        u, scratch = _apply_gate(gate, top, u, scratch)
-    gates.clear()
-    return u, scratch
+def _plan(spans: list, n: int) -> list:
+    """Group pulses into windows [top, width, pulse indices] of at most _GATE_QUBITS qubits, in integers.
 
-
-def _run_fused(pulses, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """U from identity u by gate fusion; scratch is a buffer of u's shape.
-
-    gates maps a qubit q to the open gate on q (2 x 2) or on q and q + 1
-    (4 x 4); open gates act on disjoint qubits, so they commute.
+    spans holds each pulse's (top, width).  A local pulse joins the open
+    windows it overlaps if their union fits the cap; else it keeps the
+    one with the most pulses that fits, closes the others, and joins it
+    or opens its own.  A wider pulse closes the windows it overlaps and
+    enters the plan as its index.  Open windows are disjoint intervals,
+    so they commute with each other and with every pulse they miss, and
+    the plan lists windows and wide pulses in an order valid for U.
     """
-    gates = {}
-    pending = 1.0
-    for ref, theta in pulses:
-        local = _local_action(ref)
-        if local is None:
-            u, scratch = _flush(gates, u, scratch)
-            pending = _pulse_in_place(u, scratch, pending, ref, theta)
+    owner = [None] * n  # the open window on each qubit
+    plan = []
+    for index, (top, width) in enumerate(spans):
+        end = top + width
+        if 0 < width <= _GATE_QUBITS and owner[top] is not None and owner[top] is owner[end - 1]:
+            owner[top][2].append(index)  # the one window it overlaps covers it
             continue
-        if isinstance(pending, np.ndarray) or pending != 1.0:
-            u *= pending
-            pending = 1.0
-        q, action = local
-        pulse = math.cos(theta) * _EYES[len(action)] + math.sin(theta) * action
-        if len(action) == 4:
-            gate = gates.get(q)
-            if gate is None or len(gate) == 2:
-                for top in (q - 1, q + 1):
-                    if len(gates.get(top, ())) == 4:
-                        u, scratch = _apply_gate(gates.pop(top), top, u, scratch)
-                gate = _merge_singles(gates, q)
-            gates[q] = pulse @ gate
-        else:
-            top = q - 1 if len(gates.get(q - 1, ())) == 4 else q
-            gates[top] = _on_qubits(pulse, q - top, gates[top]) if top in gates else pulse
-    u, scratch = _flush(gates, u, scratch)
-    if isinstance(pending, np.ndarray) or pending != 1.0:
-        u *= pending
-    return u
+        hit = []
+        for window in owner[top:end]:
+            if window is not None and (not hit or window is not hit[-1]):
+                hit.append(window)
+        if not 0 < width <= _GATE_QUBITS:
+            _close(plan, owner, hit)
+            plan.append(index)
+            continue
+        if hit and max(end, hit[-1][0] + hit[-1][1]) - min(top, hit[0][0]) > _GATE_QUBITS:
+            fits = [w for w in hit if max(end, w[0] + w[1]) - min(top, w[0]) <= _GATE_QUBITS]
+            keep = max(fits, key=lambda w: len(w[2]), default=None)
+            _close(plan, owner, [w for w in hit if w is not keep])
+            hit = [keep] if fits else []
+        hit = hit or [[top, width, []]]
+        window, low, high = hit[0], min(top, hit[0][0]), max(end, hit[-1][0] + hit[-1][1])
+        for other in hit[1:]:
+            window[2] += other[2]
+        window[:2] = low, high - low
+        window[2].append(index)
+        owner[low:high] = [window] * (high - low)
+    _close(plan, owner, [window for q, window in enumerate(owner) if window is not None and window[0] == q])
+    return plan
+
+
+def _gate_plan(pulses, n: int) -> list:
+    """_plan of the pulses with each window's gate appended, built with no numpy call per pulse.
+
+    Windows go to _append_gates in batches of at most _GATE_BATCH pulses,
+    and a longer window is split into consecutive windows on the same
+    qubits, so the factor stack stays small whatever the schedule's length.
+    """
+    words = {}  # each distinct generator, hashed once per pulse
+    word_of = [words.setdefault(ref, len(words)) for ref, _ in pulses]
+    refs = list(words)
+    spans = [_support(ref) for ref in refs]
+    angles = np.array([theta for _, theta in pulses] + [0.0])  # the last one pads runs
+    plan, batch, count = [], [], 0
+    for entry in _plan([spans[word] for word in word_of], n):
+        if type(entry) is int:
+            plan.append(entry)
+            continue
+        for start in range(0, len(entry[2]), _GATE_BATCH):
+            window = [entry[0], entry[1], entry[2][start:start + _GATE_BATCH]]
+            if count + len(window[2]) > _GATE_BATCH:
+                _append_gates(angles, word_of, refs, batch)
+                batch, count = [], 0
+            plan.append(window)
+            batch.append(window)
+            count += len(window[2])
+    if batch:
+        _append_gates(angles, word_of, refs, batch)
+    return plan
+
+
+def _append_gates(angles: np.ndarray, word_of: list, refs: list, windows: list) -> None:
+    """Append each window's gate to it: the product of its pulses' factors, later ones on the left.
+
+    The factors cos(t) I + sin(t) A are one gather of _window_action
+    blocks.  Each window's run of factors is padded to a power of two with
+    identities, and runs are sorted longest first, so each level of the
+    pairwise product tree is one batched matmul over a prefix.
+    """
+    windows = sorted(windows, key=lambda w: -len(w[2]))
+    # Row 0 of bank is the identity and angles[-1] is 0: the padding factor.
+    bank, rows, order, sizes, slots = [_BLOCK_EYE], [], [], [], {}
+    for top, width, indices in windows:
+        for index in indices:
+            key = (word_of[index], top, width)
+            row = slots.get(key)
+            if row is None:
+                row = slots[key] = len(bank)
+                bank.append(_window_action(refs[key[0]], top, width))
+            rows.append(row)
+        sizes.append(1 << (len(indices) - 1).bit_length())
+        rows += [0] * (sizes[-1] - len(indices))
+        order += indices + [-1] * (sizes[-1] - len(indices))
+    angles = angles[order]
+    factors = np.array(bank)[rows]
+    factors *= np.sin(angles)[:, None, None]
+    factors.reshape(len(rows), -1)[:, ::2 * _FRAME + 1] += np.cos(angles)[:, None]
+    # Levels alternate between two buffers: a fresh array per level cost
+    # more in page faults than its products (2-core host).
+    spare = np.empty_like(factors[: (len(factors) + len(sizes)) // 2])
+    while sizes[0] > 1:
+        paired = sum(size for size in sizes if size > 1)
+        level = spare[: paired // 2 + len(factors) - paired]
+        np.matmul(factors[1:paired:2], factors[:paired:2], out=level[: paired // 2])
+        level[paired // 2:] = factors[paired:]
+        factors, spare = level, factors
+        sizes = [max(size // 2, 1) for size in sizes]
+    for window, gate in zip(windows, factors[:, :_FRAME, :_FRAME] + 1j * factors[:, _FRAME:, :_FRAME]):
+        window.append(gate)
 
 
 def run_schedule(schedule: PulseSchedule) -> np.ndarray:
@@ -360,35 +426,51 @@ def run_schedule(schedule: PulseSchedule) -> np.ndarray:
     p stay Python numbers while they are the same on every row (no
     diagonal pulse pending, a word with no Z or Y).
 
-    From n = 7 on, pulses are fused into small gates first, as in
-    state-vector gate clustering (Haner & Steiger, arXiv:1704.01127).  A
-    word on one qubit or two adjacent ones (every bus word) multiplies
-    into the open gate on its qubit or pair, and a gate is applied to U,
-    one batched matmul, only when a pulse on an overlapping pair, a wider
-    word or the end of the schedule closes it.  A wider word closes every
-    open gate and then takes the in-place update; its pending d is
-    applied before the next local pulse.  On 200-pulse bus-I/II and I-III
-    schedules (seeds 1-3, medians, 2-core host, one BLAS thread) that is
-    42-61 gate passes instead of 93-109 pulse passes: 34-37 -> 11-19 ms at
-    n = 8 and 5.8-8.2 -> 4.1-6.0 ms at n = 7.
+    From n = 6 on, a plan comes first, as in state-vector gate clustering
+    (Haner & Steiger, arXiv:1704.01127): one pass in integers groups the
+    pulses into windows of at most _GATE_QUBITS = 3 adjacent qubits
+    (_plan), each window's product is built in batched array steps
+    (_gate_plan), and each window reaches U as one gate, one batched
+    matmul.  Wider words (e_k with a Z string, the chirality, wide
+    literals, the identity word) take the in-place update after the
+    windows they overlap.  On 200-pulse schedules on buses I,II and
+    I,II,III, seeds 1-3 (BENCH_23.json, 2-core host, one BLAS thread,
+    medians), that is 18-28 passes over U at n = 6..8 against 93-112 in
+    place, and 1.1-1.6 / 2.2-2.7 / 5.3-7.4 ms at n = 6 / 7 / 8 against
+    2.2-3.5 / 5.1-7.0 / 27-31 ms in place.  Windows of four qubits were
+    10-70 % slower at n = 5..8: their 32 x 32 tree products cost more
+    than the passes they save.  Below n = 6 the in-place loop stays;
+    30-pulse schedules ran 3-6 % slower planned at n = 4 and 5.
     """
     _check_n(schedule.n)
+    pulses = schedule.pulses
     u = np.eye(2**schedule.n, dtype=complex)
-    wu = np.empty_like(u)
-    if schedule.n >= _FUSE_MIN_QUBITS:
-        return _run_fused(schedule.pulses, u, wu)
+    scratch = np.empty_like(u)
     pending = 1.0
-    for ref, theta in schedule.pulses:
-        pending = _pulse_in_place(u, wu, pending, ref, theta)
-    u *= pending
+    if schedule.n < _FUSE_MIN_QUBITS:
+        for ref, theta in pulses:
+            pending = _pulse_in_place(u, scratch, pending, ref, theta)
+    else:
+        for entry in _gate_plan(pulses, schedule.n):
+            if type(entry) is int:
+                pending = _pulse_in_place(u, scratch, pending, *pulses[entry])
+                continue
+            if isinstance(pending, np.ndarray) or pending != 1.0:
+                u *= pending
+                pending = 1.0
+            top, width, _, gate = entry
+            step = 2 ** (_GATE_QUBITS - width)
+            u, scratch = _apply_gate(gate[::step, ::step], top, u, scratch)
+    if isinstance(pending, np.ndarray) or pending != 1.0:
+        u *= pending
     return u
 
 
 def unitarity_residual(u: np.ndarray) -> float:
     """Largest entry of |U U+ - I| for a square matrix U."""
     u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"U must be a square matrix, got shape {u.shape}")
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.size == 0:
+        raise ValueError(f"U must be a non-empty square matrix, got shape {u.shape}")
     return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
 
 
@@ -412,12 +494,17 @@ def _frame_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
 
 
 def _checked_unitary(u: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, float]:
-    """U as a complex array and max |U U+ - I|, once tol, n, U's shape and its unitarity are checked."""
+    """U as a complex array and max |U U+ - I|, after checking tol, n, U's shape, finiteness and unitarity."""
     _check_tolerance(tol)
-    u = np.asarray(u, dtype=complex)
+    _check_schedule_qubits(n)
+    if n < 1:
+        raise ValueError("n must be positive")
     _check_n(n)
+    u = np.asarray(u, dtype=complex)
     if u.shape != (2**n, 2**n):
         raise ValueError(f"U has shape {u.shape}, expected {(2**n, 2**n)} for n={n}")
+    if not np.isfinite(u).all():
+        raise ValueError("input matrix is not unitary: it has non-finite entries")
     if not (unitarity := unitarity_residual(u)) <= tol:
         raise ValueError("input matrix is not unitary within tolerance")
     return u, unitarity

@@ -73,7 +73,8 @@ def _check_angle(theta, pulse: str) -> None:
 
 def _check_schedule_qubits(n) -> None:
     """A schedule's n is an int or a numpy integer, not a bool; from_json_dict applies it too."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+    # A plain int, the common case, skips the ABC check, as in _check_angle.
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)):
         raise ValueError(f"schedule n must be an integer, got {n!r}")
 
 

@@ -1,6 +1,7 @@
 """Tests for the dense backend: matrices, pulses, schedules, rotations."""
 
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -462,7 +463,7 @@ class TestReadoutValidation:
             with pytest.raises(ValueError, match="tolerance must be positive"):
                 readout(np.eye(4), 2, tol=tol)
 
-    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2), ()])
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2), (), (0, 0)])
     def test_unitarity_residual_needs_a_square_matrix(self, shape):
         with pytest.raises(ValueError, match="square matrix"):
             unitarity_residual(np.ones(shape))
@@ -475,6 +476,34 @@ class TestReadoutValidation:
     def test_non_finite_matrix_is_not_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             so_membership(np.full((2, 2), np.nan), 1)
+
+    @pytest.mark.parametrize("readout", [so_membership, adjoint_rotation])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("everywhere", [True, False], ids=["full", "one-entry"])
+    def test_non_finite_matrix_is_refused_before_any_product(self, readout, value, everywhere):
+        u = np.full((4, 4), value, dtype=complex) if everywhere else np.eye(4, dtype=complex)
+        u[1, 2] = value
+        with pytest.raises(ValueError, match="not unitary: it has non-finite entries"):
+            readout(u, 2)
+
+    @pytest.mark.parametrize("readout", [so_membership, adjoint_rotation])
+    @pytest.mark.parametrize(
+        "u, n, message",
+        [
+            (np.eye(1), -1, "n must be positive"),
+            (np.eye(1), 0, "n must be positive"),
+            (np.eye(4), 2.0, "schedule n must be an integer, got 2.0"),
+            (np.eye(2), True, "schedule n must be an integer, got True"),
+            (np.eye(4), "2", "schedule n must be an integer, got '2'"),
+        ],
+        ids=["negative", "zero", "float", "bool", "text"],
+    )
+    def test_n_follows_the_schedule_rule(self, readout, u, n, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            readout(u, n)
+
+    def test_numpy_integer_n_is_accepted(self):
+        assert adjoint_rotation(np.eye(4), np.int64(2)).shape == (5, 5)
 
     @pytest.mark.parametrize("readout", [so_membership, adjoint_rotation])
     @pytest.mark.parametrize("shape", [(2, 2), (8, 8), (4, 2), (4,)])
@@ -966,11 +995,134 @@ class TestGateFusion:
             assert str(from_schedule.value) == str(from_pulse.value)
 
     def test_local_actions_are_read_only_and_bounded(self):
-        assert dense._local_action.cache_info().maxsize == dense._PULSE_ACTIONS
-        assert dense._local_action(parse_generator("IXYZ", 4)) is None
-        assert dense._local_action(parse_generator("IIII", 4)) is None
-        for word, qubit in (("IXXI", 1), ("IIYZ", 2), ("-IIIZ", 3)):
-            q, action = dense._local_action(parse_generator(word, 4))
-            assert q == qubit
+        # The window-action cache: one real-form frame matrix per (generator, window).
+        assert dense._window_action.cache_info().maxsize == dense._PULSE_ACTIONS
+        assert dense._support(parse_generator("IXYZ", 4)) == (1, 3)
+        assert dense._support(parse_generator("XIIX", 4)) == (0, 4)
+        assert dense._support(parse_generator("IIII", 4)) == (0, 0)
+        frame = dense._FRAME
+        for word, top, width in (("IXXI", 1, 2), ("IXXI", 0, 3), ("IIYZ", 1, 3), ("-IIIZ", 3, 1)):
+            block = dense._window_action(parse_generator(word, 4), top, width)
             with pytest.raises(ValueError, match="read-only"):
-                action[0, 0] = 0
+                block[0, 0] = 0
+            assert dense._PULSE_ACTIONS * block.nbytes <= 2 * 2**20
+            sign, letters = (-1, word[1:]) if word.startswith("-") else (1, word)
+            inner = 1j * kron_word(letters[top:top + width], sign)
+            want = np.kron(inner, np.eye(frame // 2**width))
+            assert np.array_equal(block[:frame, :frame] + 1j * block[frame:, :frame], want), word
+
+
+def _plan_of(schedule):
+    return dense._plan([dense._support(ref) for ref, _ in schedule.pulses], schedule.n)
+
+
+def _words(n, words):
+    """A schedule of (word, angle) pairs; words are literals or generator labels."""
+    return PulseSchedule(n=n, pulses=tuple((parse_generator(w, n), t) for w, t in words))
+
+
+class TestGatePlan:
+    """The window plan: cases a planner can get wrong, each against dense matmul composition."""
+
+    def _check(self, schedule):
+        assert np.max(np.abs(_fused(schedule) - _oracle_unitary(schedule))) < 1e-12
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_pulse_on_a_pair_between_open_windows(self, q):
+        n = 6
+
+        def on(word, k):
+            return "I" * k + word + "I" * (n - k - len(word))
+
+        # Open pairs (q - 1, q) and (q + 1, q + 2), then a pulse on (q, q + 1):
+        # all three span four qubits, so it keeps the window with more pulses
+        # and closes the other.
+        schedule = _words(n, [(on("XX", q - 1), 0.3), (on("Z", q - 1), 0.2), (on("XX", q + 1), 0.5),
+                              (on("XX", q), 0.7), (on("Z", q + 1), 0.4), (on("Z", q - 1), 0.9)])
+        self._check(schedule)
+        assert _plan_of(schedule) == [[q + 1, 2, [2]], [q - 1, 3, [0, 1, 3, 4, 5]]]
+        # Open single-qubit windows on q - 1 and q + 2 only touch the pair:
+        # three windows, none merged.
+        schedule = _words(n, [(on("Z", q - 1), 0.3), (on("Z", q + 2), 0.5), (on("XX", q), 0.7)])
+        self._check(schedule)
+        assert _plan_of(schedule) == [[q - 1, 1, [0]], [q, 2, [2]], [q + 2, 1, [1]]]
+        # Open single-qubit windows on q and q + 1: the pair joins both.
+        schedule = _words(n, [(on("Z", q), 0.3), (on("Y", q + 1), 0.5), (on("XX", q), 0.7),
+                              (on("Z", q + 1), 0.1)])
+        self._check(schedule)
+        assert _plan_of(schedule) == [[q, 2, [0, 1, 2, 3]]]
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_pulses_on_the_first_and_last_qubit(self, n):
+        words = ["Y" + "I" * (n - 1), "I" * (n - 1) + "X", "I" * (n - 2) + "ZY",
+                 "XZ" + "I" * (n - 2), "-" + "I" * (n - 3) + "XIX"]
+        rng = random.Random(n)
+        schedule = _words(n, [(rng.choice(words), rng.uniform(-3, 3)) for _ in range(20)])
+        self._check(schedule)
+        assert all(type(entry) is list for entry in _plan_of(schedule))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_window_holds_all_of_u_when_n_is_within_the_cap(self, n):
+        schedule = random_schedule(n, ["I", "II", "III"] if n > 1 else ["I", "II"], 40, seed=n)
+        labels = [("chirality", 0.3), (f"e{2 * n - 1}", 0.6)]
+        schedule = _words(n, [(ref.label, t) for ref, t in schedule.pulses] + labels)
+        self._check(schedule)
+        assert _plan_of(schedule) == [[0, n, list(range(42))]]
+
+    def test_wide_word_between_two_local_runs(self):
+        n = 6
+        rng = random.Random(6)
+        local = [ref.label for bus in ("I", "II", "III") for ref in build_bus(n, bus).members]
+        for wide in ("e7", "chirality", "ZIIIIZ", "-IIIIII"):
+            words = [(rng.choice(local), rng.uniform(-3, 3)) for _ in range(12)]
+            words += [(wide, 0.8)] + [(rng.choice(local), rng.uniform(-3, 3)) for _ in range(12)]
+            schedule = _words(n, words)
+            self._check(schedule)
+            assert 12 in _plan_of(schedule)
+
+    def test_long_windows_and_many_windows_go_in_batches(self, monkeypatch):
+        n = 6
+        rng = random.Random(7)
+        local = ["XXIIII", "ZIIIII", "IYIIII", "IIZIII", "-XIXIII"]
+        long_run = _words(n, [(rng.choice(local), rng.uniform(-3, 3)) for _ in range(40)])
+        mixed = random_schedule(n, ["I", "II", "III"], 200, seed=7)
+        monkeypatch.setattr(dense, "_GATE_BATCH", 4)
+        for schedule in (long_run, mixed):
+            plan = dense._gate_plan(schedule.pulses, n)
+            assert max(len(entry[2]) for entry in plan if type(entry) is list) <= 4
+            assert np.max(np.abs(run_schedule(schedule) - _in_place(schedule))) < 1e-13
+
+    @pytest.mark.parametrize("one_window", [False, True], ids=["many-windows", "one-window"])
+    def test_factor_stack_stays_bounded_for_long_schedules(self, one_window):
+        n = 6
+        if one_window:  # every pulse on qubits 0..2: a single window before splitting
+            rng = random.Random(8)
+            schedule = _words(n, [(rng.choice(["XXIIII", "ZIIIII", "IIYIII"]), rng.uniform(-3, 3))
+                                  for _ in range(5000)])
+        else:
+            schedule = random_schedule(n, ["I", "II", "III"], 5000, seed=8)
+        run_schedule(schedule)
+        tracemalloc.start()
+        try:
+            run_schedule(schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    def test_bus_schedules_close_few_windows_at_the_dense_limit(self, monkeypatch):
+        n = N_MAX_PIPELINE
+        calls = []
+        apply_gate = dense._apply_gate
+
+        def counted(*args):
+            calls.append(args[1])
+            return apply_gate(*args)
+
+        monkeypatch.setattr(dense, "_apply_gate", counted)
+        for seed in (1, 2, 3):
+            calls.clear()
+            schedule = random_schedule(n, ["I", "II"], 200, seed=seed)
+            run_schedule(schedule)
+            windows = [entry for entry in _plan_of(schedule) if type(entry) is list]
+            assert len(calls) == len(windows) <= 30, seed
