@@ -6,16 +6,13 @@ arXiv:quant-ph/0406196).  With a cached table of |a&b| mod 4 it gives
 words as signed permutations, Pauli coefficients as a table [x, z] (a
 gather and one +-1 sign-matrix product, O(8^n) under the n <= 8 cap)
 and to_matrix, whose sign product covers only the x a sum uses: O(4^n)
-per word, O(8^n) for a full sum.  A pulse exp(i t W) on a word takes U
-to cos(t) U + i sin(t) W U in O(4^n), with each generator's rows and
-row phases cached across calls; exp_pulse on a word is the one-pulse
-schedule, and on a sum goes through eigh.  A diagonal W (no X or Y)
-only multiplies a pending 2^n vector of row phases, O(2^n), which the
-next other pulse applies along with its own.  From n = 6 on, a schedule
-is planned first: one pass in integers groups its pulses into windows of
-at most three adjacent qubits, each window's product is built in batched
-array steps, and each window reaches U as one gate, one batched matmul;
-only wider words take the in-place update.  The rotation
+per word, O(8^n) for a full sum.  A schedule is planned first: one pass
+in integers groups its pulses into windows of at most three adjacent
+qubits, each window's product is built in batched array steps, and each
+window reaches U as one gate, one batched matmul.  A wider word W takes
+U to cos(t) U + i sin(t) W U in place, O(4^n), with each generator's
+rows and row phases cached across calls.  exp_pulse on a word is the
+one-pulse schedule, and on a sum goes through eigh.  The rotation
 R[b][a] = Re trace(g_b U g_a U+) / 2^n over the frame words g_a,
 U g_a U+ = sum_b R[b][a] g_b, is a sum of products of row and column
 gathers of U: O(n^2 4^n), no 2^n x 2^n matmul.  The leak out of the
@@ -198,9 +195,7 @@ def exp_pulse(gen: PulseGenerator, theta: float, n: int | None = None) -> np.nda
 # stays under 2 MB.
 _PULSE_ACTIONS = 256
 
-# Smallest chain whose schedules run_schedule plans into gates, and the
-# widest window a gate covers; run_schedule gives the measurements.
-_FUSE_MIN_QUBITS = 6
+# The widest window a gate covers; run_schedule gives the measurements.
 _GATE_QUBITS = 3
 _FRAME = 2**_GATE_QUBITS  # rows of a window's frame
 _BLOCK_EYE = np.eye(2 * _FRAME)
@@ -219,22 +214,19 @@ def _hermitian_word(ref: GeneratorRef) -> PauliString:
 
 
 @functools.lru_cache(maxsize=_PULSE_ACTIONS)
-def _schedule_action(ref: GeneratorRef) -> tuple[np.ndarray | None, complex | np.ndarray]:
-    """Read-only rows and row phase of i W for ref's word W: (i W U)[r] = row_phase[r] U[rows[r]].
+def _schedule_action(ref: GeneratorRef) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rows and 2^n x 1 row phases of i W for ref's word W: (i W U)[r] = row_phase[r] U[rows[r]].
 
-    rows is None for a diagonal word (no X or Y), which permutes no rows.
-    row_phase is one complex for a word with no Z or Y (z = 0), whose
-    phase is the same on every row, and a 2^n x 1 column otherwise.
     Deriving the actions on every call cost about 15 us per distinct
-    generator: 0.155 against 0.108 ms for 30 bus-I/II pulses at n = 2
-    (2-core host, in process).
+    generator: 0.155 against 0.108 ms for 30 bus-I/II pulses at n = 2,
+    each pulse in place (2-core host, in process).
     """
     word = _hermitian_word(ref)
     rows, phase = _word_action(word.x, word.z, word.n)
     row_phase = 1j * word.phase.real * phase[:, None]
     for table in (rows, row_phase):
         table.flags.writeable = False
-    return (None if word.x == 0 else rows), (complex(row_phase[0, 0]) if word.z == 0 else row_phase)
+    return rows, row_phase
 
 
 @functools.lru_cache(maxsize=_PULSE_ACTIONS)
@@ -265,25 +257,15 @@ def _window_action(ref: GeneratorRef, top: int, width: int) -> np.ndarray:
     return block
 
 
-def _pulse_in_place(u: np.ndarray, wu: np.ndarray, pending, ref: GeneratorRef, theta: float):
-    """Apply one pulse on ref's word to diag(pending) u, in place; return the new pending row phases.
-
-    wu is scratch of u's shape.
-    """
+def _pulse_in_place(u: np.ndarray, wu: np.ndarray, ref: GeneratorRef, theta: float) -> None:
+    """Apply one pulse on ref's word to u in place; wu is scratch of u's shape."""
     rows, row_phase = _schedule_action(ref)
-    cos, sin = math.cos(theta), math.sin(theta)
-    if rows is None:
-        return pending * (cos + sin * row_phase)
     # rows is a permutation; mode="clip" skips the bounds check and the
     # buffered copy the default mode makes for out= (3x faster at n = 8).
     np.take(u, rows, axis=0, out=wu, mode="clip")
-    if isinstance(pending, np.ndarray):
-        wu *= sin * row_phase * pending[rows]
-    else:
-        wu *= sin * row_phase * pending
-    u *= cos * pending
+    wu *= math.sin(theta) * row_phase
+    u *= math.cos(theta)
     u += wu
-    return 1.0
 
 
 def _apply_gate(gate: np.ndarray, top: int, u: np.ndarray, scratch: np.ndarray) -> tuple:
@@ -415,54 +397,36 @@ def _append_gates(angles: np.ndarray, word_of: list, refs: list, windows: list) 
 def run_schedule(schedule: PulseSchedule) -> np.ndarray:
     """Compose a schedule into a unitary; the first pulse is the rightmost factor.
 
-    A pulse on a word W takes U to cos(t) U + i sin(t) W U, and W U is U
-    with its rows permuted and scaled by W's phases, so each pulse costs
-    O(4^n) in place instead of an O(8^n) matmul.  The product so far is
-    held as diag(d) U: a diagonal word (no X or Y) permutes nothing, so
-    its pulse multiplies only the pending row phases d by
-    cos(t) + i sin(t) W[r, r], O(2^n).  The next pulse on a word with X
-    or Y applies d and resets it to 1, U -> a U + b U[rows] with
-    a = cos(t) d and b = sin(t) p d[rows], p the word's row phases.  d and
-    p stay Python numbers while they are the same on every row (no
-    diagonal pulse pending, a word with no Z or Y).
-
-    From n = 6 on, a plan comes first, as in state-vector gate clustering
-    (Haner & Steiger, arXiv:1704.01127): one pass in integers groups the
-    pulses into windows of at most _GATE_QUBITS = 3 adjacent qubits
-    (_plan), each window's product is built in batched array steps
-    (_gate_plan), and each window reaches U as one gate, one batched
-    matmul.  Wider words (e_k with a Z string, the chirality, wide
-    literals, the identity word) take the in-place update after the
-    windows they overlap.  On 200-pulse schedules on buses I,II and
-    I,II,III, seeds 1-3 (BENCH_23.json, 2-core host, one BLAS thread,
-    medians), that is 18-28 passes over U at n = 6..8 against 93-112 in
-    place, and 1.1-1.6 / 2.2-2.7 / 5.3-7.4 ms at n = 6 / 7 / 8 against
-    2.2-3.5 / 5.1-7.0 / 27-31 ms in place.  Windows of four qubits were
-    10-70 % slower at n = 5..8: their 32 x 32 tree products cost more
-    than the passes they save.  Below n = 6 the in-place loop stays;
-    30-pulse schedules ran 3-6 % slower planned at n = 4 and 5.
+    A plan comes first, as in state-vector gate clustering (Haner &
+    Steiger, arXiv:1704.01127): one pass in integers groups the pulses
+    into windows of at most _GATE_QUBITS = 3 adjacent qubits (_plan), each
+    window's product is built in batched array steps (_gate_plan), and
+    each window reaches U as one gate, one batched matmul.  A wider word W
+    (e_k with a Z string, the chirality, wide literals, the identity word)
+    takes U to cos(t) U + i sin(t) W U after the windows it overlaps, in
+    place: W U is U with its rows permuted and scaled by W's phases, so
+    the pulse costs O(4^n) instead of an O(8^n) matmul.  On 200-pulse
+    schedules on buses I,II and I,II,III, seeds 1-3 (BENCH_23.json, 2-core
+    host, one BLAS thread, medians), that is 18-28 passes over U at
+    n = 6..8 against 93-112 with every pulse in place, and 1.1-1.6 /
+    2.2-2.7 / 5.3-7.4 ms at n = 6 / 7 / 8 against 2.2-3.5 / 5.1-7.0 /
+    27-31 ms in place.  The plan has no size floor: at n = 2..5 the same
+    schedules took 0.31-1.24 ms against 0.92-2.11 ms with every pulse in
+    place (medians of 40 calls).  Windows of four qubits were 10-70 %
+    slower at n = 5..8: their 32 x 32 tree products cost more than the
+    passes they save.
     """
     _check_n(schedule.n)
     pulses = schedule.pulses
     u = np.eye(2**schedule.n, dtype=complex)
     scratch = np.empty_like(u)
-    pending = 1.0
-    if schedule.n < _FUSE_MIN_QUBITS:
-        for ref, theta in pulses:
-            pending = _pulse_in_place(u, scratch, pending, ref, theta)
-    else:
-        for entry in _gate_plan(pulses, schedule.n):
-            if type(entry) is int:
-                pending = _pulse_in_place(u, scratch, pending, *pulses[entry])
-                continue
-            if isinstance(pending, np.ndarray) or pending != 1.0:
-                u *= pending
-                pending = 1.0
-            top, width, _, gate = entry
-            step = 2 ** (_GATE_QUBITS - width)
-            u, scratch = _apply_gate(gate[::step, ::step], top, u, scratch)
-    if isinstance(pending, np.ndarray) or pending != 1.0:
-        u *= pending
+    for entry in _gate_plan(pulses, schedule.n):
+        if type(entry) is int:
+            _pulse_in_place(u, scratch, *pulses[entry])
+            continue
+        top, width, _, gate = entry
+        step = 2 ** (_GATE_QUBITS - width)
+        u, scratch = _apply_gate(gate[::step, ::step], top, u, scratch)
     return u
 
 

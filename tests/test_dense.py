@@ -809,7 +809,7 @@ def _diagonal_words(rng, n, count):
 
 
 class TestDiagonalPulses:
-    """A pulse on a word without X or Y is one row scaling of U."""
+    """Pulses on words without X or Y, in windows and as wide words, against the oracle."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_bus_one_schedules(self, n):
@@ -867,7 +867,7 @@ def _oracle_unitary(schedule):
 
 
 class TestPendingDiagonal:
-    """Runs of diagonal pulses fold into one pending row-phase vector, applied by the next pulse."""
+    """Runs of diagonal pulses (bus I, signed I/Z words, the identity word) between other pulses."""
 
     @settings(max_examples=120, deadline=None)
     @given(diagonal_run_schedules())
@@ -889,9 +889,22 @@ class TestPendingDiagonal:
         assert unitarity_residual(u) < 1e-12
         assert np.max(np.abs(u - _oracle_unitary(schedule))) < 1e-12
 
+    def test_wide_diagonal_words_between_windows(self):
+        n = 6
+        rng = random.Random(24)
+        local = [ref.label for bus in ("I", "II", "III") for ref in build_bus(n, bus).members]
+        words = []
+        for wide in ("chirality", "ZIIIIZ", "-IIIIII") * 2:
+            words += [(rng.choice(local), rng.uniform(-3, 3)) for _ in range(10)]
+            words.append((wide, rng.uniform(-3, 3)))
+        schedule = _words(n, words)
+        assert sum(type(entry) is int for entry in _plan_of(schedule)) == 6
+        assert np.max(np.abs(run_schedule(schedule) - _oracle_unitary(schedule))) < 1e-13
+
     def test_equal_schedules_give_bit_identical_unitaries(self):
         for buses in (["I", "II"], ["I", "II", "III"]):
-            dense._schedule_action.cache_clear()
+            for cache in (dense._schedule_action, dense._support, dense._window_action):
+                cache.cache_clear()
             cold = run_schedule(random_schedule(5, buses, 200, seed=16))
             payload = random_schedule(5, buses, 200, seed=16).to_json_dict()
             warm = run_schedule(PulseSchedule.from_json_dict(payload))
@@ -901,29 +914,14 @@ class TestPendingDiagonal:
         refs = [parse_generator(w, 3) for w in ("ZIZ", "-III", "XXI", "IYZ", "-XIY")]
         for ref in refs:
             for table in dense._schedule_action(ref):
-                if isinstance(table, np.ndarray):
-                    with pytest.raises(ValueError, match="read-only"):
-                        table[0] = table[1]
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = table[1]
 
     def test_action_cache_stays_under_two_megabytes(self):
         # The largest entry: a word with X and Z at the dense limit.
         rows, row_phase = dense._schedule_action(parse_generator("Y" * N_MAX_PIPELINE, N_MAX_PIPELINE))
         assert dense._schedule_action.cache_info().maxsize == dense._PULSE_ACTIONS
         assert dense._PULSE_ACTIONS * (rows.nbytes + row_phase.nbytes) <= 2 * 2**20
-
-
-def _in_place(schedule):
-    """run_schedule's unitary with gate fusion switched off."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dense, "_FUSE_MIN_QUBITS", N_MAX_PIPELINE + 1)
-        return run_schedule(schedule)
-
-
-def _fused(schedule):
-    """run_schedule's unitary with gate fusion at every n."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dense, "_FUSE_MIN_QUBITS", 1)
-        return run_schedule(schedule)
 
 
 @st.composite
@@ -949,12 +947,12 @@ def fusion_schedules(draw):
 
 
 class TestGateFusion:
-    """From n = 7 on, run_schedule fuses local pulses into 2 x 2 and 4 x 4 gates."""
+    """run_schedule composes local pulses into gates on windows of up to three qubits at every n."""
 
     @settings(max_examples=150, deadline=None)
     @given(fusion_schedules())
     def test_fused_matches_in_place_on_small_chains(self, schedule):
-        assert np.max(np.abs(_fused(schedule) - _in_place(schedule))) < 1e-13
+        assert np.max(np.abs(run_schedule(schedule) - _oracle_unitary(schedule))) < 1e-12
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_fused_matches_in_place_at_large_n(self, n):
@@ -965,17 +963,20 @@ class TestGateFusion:
             pulses.insert(rng.randrange(len(pulses)), (parse_generator(label, n), rng.uniform(-3, 3)))
         schedules.append(PulseSchedule(n=n, pulses=tuple(pulses)))
         for schedule in schedules:
-            assert np.max(np.abs(run_schedule(schedule) - _in_place(schedule))) < 1e-13
+            assert np.max(np.abs(run_schedule(schedule) - _oracle_unitary(schedule))) < 1e-13
 
-    @pytest.mark.parametrize("word", ["IIIXXIII", "IYIIIIII", "ZIIIIIII"])
+    @pytest.mark.parametrize(
+        "word", ["Z", "XY", "IYI", "IIXX", "ZIIII", "IIIXXIII", "IYIIIIII", "ZIIIIIII"]
+    )
     def test_local_word_pulses_match_kronecker_exactly(self, word):
         for sign in (1, -1):
             want = np.cos(0.7) * np.eye(2 ** len(word)) + 1j * np.sin(0.7) * kron_word(word, sign)
             assert np.array_equal(exp_pulse(PauliString(word, sign), 0.7), want), (sign, word)
 
-    def test_local_schedule_never_updates_in_place(self, monkeypatch):
-        schedule = random_schedule(N_MAX_PIPELINE, ["I", "II", "III"], 200, seed=5)
-        want = _in_place(schedule)
+    @pytest.mark.parametrize("n", range(1, N_MAX_PIPELINE + 1))
+    def test_local_schedule_never_updates_in_place(self, monkeypatch, n):
+        schedule = random_schedule(n, ["I", "II", "III"] if n > 1 else ["I", "II"], 200, seed=5)
+        want = _oracle_unitary(schedule)
 
         def never(*args):
             raise AssertionError("a local pulse reached the in-place update")
@@ -1025,7 +1026,7 @@ class TestGatePlan:
     """The window plan: cases a planner can get wrong, each against dense matmul composition."""
 
     def _check(self, schedule):
-        assert np.max(np.abs(_fused(schedule) - _oracle_unitary(schedule))) < 1e-12
+        assert np.max(np.abs(run_schedule(schedule) - _oracle_unitary(schedule))) < 1e-12
 
     @pytest.mark.parametrize("q", [1, 3])
     def test_pulse_on_a_pair_between_open_windows(self, q):
@@ -1090,7 +1091,7 @@ class TestGatePlan:
         for schedule in (long_run, mixed):
             plan = dense._gate_plan(schedule.pulses, n)
             assert max(len(entry[2]) for entry in plan if type(entry) is list) <= 4
-            assert np.max(np.abs(run_schedule(schedule) - _in_place(schedule))) < 1e-13
+            assert np.max(np.abs(run_schedule(schedule) - _oracle_unitary(schedule))) < 1e-13
 
     @pytest.mark.parametrize("one_window", [False, True], ids=["many-windows", "one-window"])
     def test_factor_stack_stays_bounded_for_long_schedules(self, one_window):
