@@ -118,25 +118,37 @@ def _cmd_closure(args) -> int:
     return 0
 
 
+def _check_readable(n: int, bilinear: bool) -> None:
+    """Refuse a chain longer than any path reads, before a bus is drawn or a pulse word built.
+
+    bilinear says every pulse is a frame bilinear, which the rotation
+    picture reads; otherwise the dense limit applies as well.
+    """
+    if n > frame.MAX_FRAME_QUBITS:
+        if bilinear:
+            frame._check_frame_qubits(n)
+        raise ResourceLimitError(
+            f"n={n} exceeds the rotation-picture limit of {frame.MAX_FRAME_QUBITS} "
+            f"qubits and the dense limit of {dense.N_MAX_PIPELINE}"
+        )
+
+
 def _load_schedule(args) -> frame.PulseSchedule:
     if args.random is not None:
         if args.n is None or args.bus is None or args.seed is None:
             raise ValueError("--random requires --n, --bus, and --seed")
         bus_ids = args.bus.split(",")
-        # No path reads a longer chain, and drawing builds every bus member first.
-        if args.n > frame.MAX_FRAME_QUBITS:
-            if {b.strip().upper() for b in bus_ids} <= {"I", "II"}:
-                frame._check_frame_qubits(args.n)
-            raise ResourceLimitError(
-                f"n={args.n} exceeds the rotation-picture limit of {frame.MAX_FRAME_QUBITS} "
-                f"qubits and the dense limit of {dense.N_MAX_PIPELINE}"
-            )
+        # Drawing builds every bus member first.
+        _check_readable(args.n, {b.strip().upper() for b in bus_ids} <= {"I", "II"})
         return frame.random_schedule(args.n, bus_ids, args.random, args.seed)
     if not args.file:
         raise ValueError("give a schedule file, or --random with --n/--bus/--seed")
     with open(args.file, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    return frame.PulseSchedule.from_json_dict(payload)
+    schedule = frame.PulseSchedule.from_json_dict(payload)
+    # frame_membership builds every pulse word, n letters each, before its own limit check.
+    _check_readable(schedule.n, all(ref.kind in ("e", "d") for ref, _ in schedule.pulses))
+    return schedule
 
 
 def _cmd_schedule(args) -> int:

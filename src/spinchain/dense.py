@@ -8,10 +8,11 @@ gather and one +-1 sign-matrix product, O(8^n) under the n <= 8 cap)
 and to_matrix, whose sign product covers only the x a sum uses: O(4^n)
 per word, O(8^n) for a full sum.  A schedule is planned first: one pass
 in integers groups its pulses into windows of at most three adjacent
-qubits, each window's product is built in batched array steps, and each
-window reaches U as one gate, one batched matmul.  A wider word W takes
-U to cos(t) U + i sin(t) W U in place, O(4^n), with each generator's
-rows and row phases cached across calls.  exp_pulse on a word is the
+qubits, each window's product is built in batched array steps from one
+read-only table of the 64 words of a three-qubit frame, and each window
+reaches U as one gate, one batched matmul.  A wider word W takes U to
+cos(t) U + i sin(t) W U in place, O(4^n), with each word's rows and row
+phases cached across calls by its bits.  exp_pulse on a word is the
 one-pulse schedule, and on a sum goes through eigh.  The rotation
 R[b][a] = Re trace(g_b U g_a U+) / 2^n over the frame words g_a,
 U g_a U+ = sum_b R[b][a] g_b, is a sum of products of row and column
@@ -48,6 +49,11 @@ N_MAX_PIPELINE = 8
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
+# Distinct words whose row actions _word_action keeps between calls.  An
+# entry holds at most 6 KB at n = 8 (2 KB of rows, 4 KB of row phases),
+# so the cache stays under 2 MB.
+_PULSE_ACTIONS = 256
+
 
 def _check_n(n: int) -> None:
     if n > N_MAX_PIPELINE:
@@ -68,11 +74,21 @@ def _sign_product(n: int, a: np.ndarray) -> np.ndarray:
     return ((1.0 - 2 * (_overlaps(n) & 1)) @ a.view(float)).view(complex)
 
 
+@functools.lru_cache(maxsize=_PULSE_ACTIONS)
 def _word_action(x: int, z: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row form of W(x, z): (W M)[r] = phase[r] M[r ^ x], phase[r] = i^(|x&z| + 2|(r^x)&z|)."""
+    """Read-only row form of W(x, z): (W M)[r] = phase[r] M[r ^ x], phase[r] = i^(|x&z| + 2|(r^x)&z|).
+
+    Cached because deriving it on every call cost about 15 us per
+    distinct word: 0.155 against 0.108 ms for 30 bus-I/II pulses at
+    n = 2, each pulse in place (2-core host, in process).  Wide pulses
+    read it; _window_blocks reads the 64 words of the frame once.
+    """
     overlaps = _overlaps(n)
     rows = np.arange(2**n) ^ x
-    return rows, _I_POWERS[(overlaps[x, z] + 2 * overlaps[rows, z]) & 3]
+    phase = _I_POWERS[(overlaps[x, z] + 2 * overlaps[rows, z]) & 3]
+    for table in (rows, phase):
+        table.flags.writeable = False
+    return rows, phase
 
 
 def to_matrix(op: Union[str, PauliString, PauliSum], n: int | None = None) -> np.ndarray:
@@ -139,9 +155,9 @@ def pauli_decompose(mat: np.ndarray) -> PauliSum:
     to_matrix to machine precision.  The side must be a power of two.
     """
     mat = np.asarray(mat, dtype=complex)
-    side = mat.shape[0]
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
+    side = mat.shape[0]
     n = side.bit_length() - 1
     if side != 2**n or n < 1:
         raise ValueError(f"side {side} is not a power of two (>= 2)")
@@ -189,16 +205,9 @@ def exp_pulse(gen: PulseGenerator, theta: float, n: int | None = None) -> np.nda
     return (evecs * np.exp(1j * theta * evals)) @ evecs.conj().T
 
 
-# Distinct generators (or generator windows) whose pulse actions
-# run_schedule keeps between calls.  An entry holds at most 6 KB at n = 8
-# (2 KB of rows, 4 KB of row phases), a window action 2 KB, so each cache
-# stays under 2 MB.
-_PULSE_ACTIONS = 256
-
 # The widest window a gate covers; run_schedule gives the measurements.
 _GATE_QUBITS = 3
 _FRAME = 2**_GATE_QUBITS  # rows of a window's frame
-_BLOCK_EYE = np.eye(2 * _FRAME)
 # Most pulses whose factors run_schedule stacks at once.  With runs padded
 # to powers of two that is at most 2,048 blocks of 2 KB, plus half that
 # again for the tree's second buffer: about 6 MB at any schedule length.
@@ -213,66 +222,40 @@ def _hermitian_word(ref: GeneratorRef) -> PauliString:
     return word
 
 
-@functools.lru_cache(maxsize=_PULSE_ACTIONS)
-def _schedule_action(ref: GeneratorRef) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only rows and 2^n x 1 row phases of i W for ref's word W: (i W U)[r] = row_phase[r] U[rows[r]].
-
-    Deriving the actions on every call cost about 15 us per distinct
-    generator: 0.155 against 0.108 ms for 30 bus-I/II pulses at n = 2,
-    each pulse in place (2-core host, in process).
-    """
-    word = _hermitian_word(ref)
-    rows, phase = _word_action(word.x, word.z, word.n)
-    row_phase = 1j * word.phase.real * phase[:, None]
-    for table in (rows, row_phase):
-        table.flags.writeable = False
-    return rows, row_phase
-
-
-@functools.lru_cache(maxsize=_PULSE_ACTIONS)
-def _support(ref: GeneratorRef) -> tuple[int, int]:
-    """(top, width) when ref's word acts on qubits top .. top + width - 1 only; (0, 0) for the identity."""
-    word = _hermitian_word(ref)
+def _support(word: PauliString) -> tuple[int, int]:
+    """(top, width) when word acts on qubits top .. top + width - 1 only; (0, 0) for the identity."""
     support = word.x | word.z
     low = (support & -support).bit_length() - 1  # qubit 0 is the top bit
     width = support.bit_length() - low
     return (word.n - low - width, width) if support else (0, 0)
 
 
-@functools.lru_cache(maxsize=_PULSE_ACTIONS)
-def _window_action(ref: GeneratorRef, top: int, width: int) -> np.ndarray:
-    """Read-only real form [[Re A, -Im A], [Im A, Re A]] of A = i W (x) I, W ref's word on its window.
+@functools.lru_cache(maxsize=None)
+def _window_blocks() -> np.ndarray:
+    """Read-only real forms [[Re A, -Im A], [Im A, Re A]] of A = i W(x, z), one per frame word.
 
-    The window, qubits top .. top + width - 1, fills the top qubits of a
-    _FRAME-row frame.  A product P of such blocks holds the window's gate
-    G as G (x) I = P[:_FRAME, :_FRAME] + i P[_FRAME:, :_FRAME].
+    The 4^_GATE_QUBITS words of a _FRAME-row frame, 2 KB each, sit at
+    [x << _GATE_QUBITS | z].  A product P of such blocks holds the
+    window's gate G as G (x) I = P[:_FRAME, :_FRAME] + i P[_FRAME:, :_FRAME].
     """
-    word = _hermitian_word(ref)
-    drop = word.n - top  # bits below the window's frame
-    rows, phase = _word_action(word.x << _GATE_QUBITS >> drop, word.z << _GATE_QUBITS >> drop, _GATE_QUBITS)
-    action = np.zeros((_FRAME, _FRAME), dtype=complex)
-    action[np.arange(_FRAME), rows] = 1j * word.phase.real * phase
-    block = np.block([[action.real, -action.imag], [action.imag, action.real]])
-    block.flags.writeable = False
-    return block
+    actions = np.zeros((_FRAME * _FRAME, _FRAME, _FRAME), dtype=complex)
+    for bits in range(_FRAME * _FRAME):
+        rows, phase = _word_action(bits >> _GATE_QUBITS, bits & _FRAME - 1, _GATE_QUBITS)
+        actions[bits, np.arange(_FRAME), rows] = 1j * phase
+    blocks = np.block([[actions.real, -actions.imag], [actions.imag, actions.real]])
+    blocks.flags.writeable = False
+    return blocks
 
 
-def _pulse_in_place(u: np.ndarray, wu: np.ndarray, ref: GeneratorRef, theta: float) -> None:
-    """Apply one pulse on ref's word to u in place; wu is scratch of u's shape."""
-    rows, row_phase = _schedule_action(ref)
+def _pulse_in_place(u: np.ndarray, wu: np.ndarray, word: PauliString, theta: float) -> None:
+    """Apply one pulse on a word to u in place; wu is scratch of u's shape."""
+    rows, phase = _word_action(word.x, word.z, word.n)
     # rows is a permutation; mode="clip" skips the bounds check and the
     # buffered copy the default mode makes for out= (3x faster at n = 8).
     np.take(u, rows, axis=0, out=wu, mode="clip")
-    wu *= math.sin(theta) * row_phase
+    wu *= math.sin(theta) * (1j * word.phase.real * phase[:, None])
     u *= math.cos(theta)
     u += wu
-
-
-def _apply_gate(gate: np.ndarray, top: int, u: np.ndarray, scratch: np.ndarray) -> tuple:
-    """One pass over U: (gate on the qubits from top on) @ U into scratch; return (scratch, u)."""
-    shape = (2**top, len(gate), -1)
-    np.matmul(gate, u.reshape(shape), out=scratch.reshape(shape))
-    return scratch, u
 
 
 def _close(plan: list, owner: list, windows) -> None:
@@ -325,61 +308,66 @@ def _plan(spans: list, n: int) -> list:
 
 
 def _gate_plan(pulses, n: int) -> list:
-    """_plan of the pulses with each window's gate appended, built with no numpy call per pulse.
+    """_plan of the pulses with each window's gate appended and each wide pulse as (word, angle).
 
-    Windows go to _append_gates in batches of at most _GATE_BATCH pulses,
-    and a longer window is split into consecutive windows on the same
-    qubits, so the factor stack stays small whatever the schedule's length.
+    Each distinct generator is resolved once per call, and no numpy call
+    is made per pulse.  Windows go to _append_gates in batches of at most
+    _GATE_BATCH pulses, and a longer window is split into consecutive
+    windows on the same qubits, so the factor stack stays small whatever
+    the schedule's length.
     """
-    words = {}  # each distinct generator, hashed once per pulse
-    word_of = [words.setdefault(ref, len(words)) for ref, _ in pulses]
-    refs = list(words)
-    spans = [_support(ref) for ref in refs]
-    angles = np.array([theta for _, theta in pulses] + [0.0])  # the last one pads runs
+    refs = {}  # each distinct generator, hashed once per pulse
+    word_of = [refs.setdefault(ref, len(refs)) for ref, _ in pulses]
+    words = [_hermitian_word(ref) for ref in refs]
+    spans = [_support(word) for word in words]
+    signs = [word.phase.real for word in words]
+    # A word's sign goes on its angle (cos is even, sin odd); the last angle pads runs.
+    angles = np.array([theta * signs[word] for (_, theta), word in zip(pulses, word_of)] + [0.0])
+    word_bits = [(word.x, word.z) for word in words]
+    bits = [word_bits[word] for word in word_of]
     plan, batch, count = [], [], 0
     for entry in _plan([spans[word] for word in word_of], n):
         if type(entry) is int:
-            plan.append(entry)
+            plan.append((words[word_of[entry]], pulses[entry][1]))
             continue
         for start in range(0, len(entry[2]), _GATE_BATCH):
             window = [entry[0], entry[1], entry[2][start:start + _GATE_BATCH]]
             if count + len(window[2]) > _GATE_BATCH:
-                _append_gates(angles, word_of, refs, batch)
+                _append_gates(angles, bits, n, batch)
                 batch, count = [], 0
             plan.append(window)
             batch.append(window)
             count += len(window[2])
     if batch:
-        _append_gates(angles, word_of, refs, batch)
+        _append_gates(angles, bits, n, batch)
     return plan
 
 
-def _append_gates(angles: np.ndarray, word_of: list, refs: list, windows: list) -> None:
+def _append_gates(angles: np.ndarray, bits: list, n: int, windows: list) -> None:
     """Append each window's gate to it: the product of its pulses' factors, later ones on the left.
 
-    The factors cos(t) I + sin(t) A are one gather of _window_action
-    blocks.  Each window's run of factors is padded to a power of two with
-    identities, and runs are sorted longest first, so each level of the
-    pairwise product tree is one batched matmul over a prefix.
+    A pulse's factor is cos(t) I + sin(t) A, t its signed angle and A the
+    _window_blocks block at the word's bits (x, z) in the window's frame,
+    x << _GATE_QUBITS >> (n - top): one gather from the 64-word table.
+    Each window's run of factors is padded to a power of two with
+    zero-angle factors, the identity whatever block they gather, and runs
+    are sorted longest first, so each level of the pairwise product tree
+    is one batched matmul over a prefix.
     """
     windows = sorted(windows, key=lambda w: -len(w[2]))
-    # Row 0 of bank is the identity and angles[-1] is 0: the padding factor.
-    bank, rows, order, sizes, slots = [_BLOCK_EYE], [], [], [], {}
-    for top, width, indices in windows:
-        for index in indices:
-            key = (word_of[index], top, width)
-            row = slots.get(key)
-            if row is None:
-                row = slots[key] = len(bank)
-                bank.append(_window_action(refs[key[0]], top, width))
-            rows.append(row)
+    # angles[-1] is 0: the padding factor.
+    blocks, order, sizes = [], [], []
+    for top, _, indices in windows:
+        drop = n - top  # bits below the window's frame
+        blocks += [(x << _GATE_QUBITS >> drop) << _GATE_QUBITS | z << _GATE_QUBITS >> drop
+                   for x, z in map(bits.__getitem__, indices)]
         sizes.append(1 << (len(indices) - 1).bit_length())
-        rows += [0] * (sizes[-1] - len(indices))
+        blocks += [0] * (sizes[-1] - len(indices))
         order += indices + [-1] * (sizes[-1] - len(indices))
     angles = angles[order]
-    factors = np.array(bank)[rows]
+    factors = _window_blocks()[blocks]
     factors *= np.sin(angles)[:, None, None]
-    factors.reshape(len(rows), -1)[:, ::2 * _FRAME + 1] += np.cos(angles)[:, None]
+    factors.reshape(len(blocks), -1)[:, ::2 * _FRAME + 1] += np.cos(angles)[:, None]
     # Levels alternate between two buffers: a fresh array per level cost
     # more in page faults than its products (2-core host).
     spare = np.empty_like(factors[: (len(factors) + len(sizes)) // 2])
@@ -400,33 +388,37 @@ def run_schedule(schedule: PulseSchedule) -> np.ndarray:
     A plan comes first, as in state-vector gate clustering (Haner &
     Steiger, arXiv:1704.01127): one pass in integers groups the pulses
     into windows of at most _GATE_QUBITS = 3 adjacent qubits (_plan), each
-    window's product is built in batched array steps (_gate_plan), and
-    each window reaches U as one gate, one batched matmul.  A wider word W
-    (e_k with a Z string, the chirality, wide literals, the identity word)
-    takes U to cos(t) U + i sin(t) W U after the windows it overlaps, in
-    place: W U is U with its rows permuted and scaled by W's phases, so
-    the pulse costs O(4^n) instead of an O(8^n) matmul.  On 200-pulse
-    schedules on buses I,II and I,II,III, seeds 1-3 (BENCH_23.json, 2-core
-    host, one BLAS thread, medians), that is 18-28 passes over U at
-    n = 6..8 against 93-112 with every pulse in place, and 1.1-1.6 /
-    2.2-2.7 / 5.3-7.4 ms at n = 6 / 7 / 8 against 2.2-3.5 / 5.1-7.0 /
-    27-31 ms in place.  The plan has no size floor: at n = 2..5 the same
-    schedules took 0.31-1.24 ms against 0.92-2.11 ms with every pulse in
-    place (medians of 40 calls).  Windows of four qubits were 10-70 %
-    slower at n = 5..8: their 32 x 32 tree products cost more than the
-    passes they save.
+    window's product is built in batched array steps (_gate_plan) from
+    one table of the 64 three-qubit words (_window_blocks), and each
+    window reaches U as one gate, one batched matmul.  Each distinct
+    generator is resolved once per call.  A wider word W (e_k with a Z
+    string, the chirality, wide literals, the identity word) takes U to
+    cos(t) U + i sin(t) W U after the windows it overlaps, in place: W U
+    is U with its rows permuted and scaled by W's phases (_word_action,
+    cached by the word's bits), so the pulse costs O(4^n) instead of an
+    O(8^n) matmul.  On
+    200-pulse schedules on buses I,II and I,II,III, seeds 1-3
+    (BENCH_23.json, 2-core host, one BLAS thread, medians), that is
+    18-28 passes over U at n = 6..8 against 93-112 with every pulse in
+    place, and 1.1-1.6 / 2.2-2.7 / 5.3-7.4 ms at n = 6 / 7 / 8 against
+    2.2-3.5 / 5.1-7.0 / 27-31 ms in place.  The plan has no size floor:
+    at n = 2..5 the same schedules took 0.31-1.24 ms against
+    0.92-2.11 ms with every pulse in place (medians of 40 calls).
+    Windows of four qubits were 10-70 % slower at n = 5..8: their
+    32 x 32 tree products cost more than the passes they save.
     """
     _check_n(schedule.n)
-    pulses = schedule.pulses
     u = np.eye(2**schedule.n, dtype=complex)
     scratch = np.empty_like(u)
-    for entry in _gate_plan(pulses, schedule.n):
-        if type(entry) is int:
-            _pulse_in_place(u, scratch, *pulses[entry])
+    for entry in _gate_plan(schedule.pulses, schedule.n):
+        if type(entry) is tuple:
+            _pulse_in_place(u, scratch, *entry)
             continue
         top, width, _, gate = entry
         step = 2 ** (_GATE_QUBITS - width)
-        u, scratch = _apply_gate(gate[::step, ::step], top, u, scratch)
+        shape = (2**top, 2**width, -1)  # the gate on the qubits from top on, one pass over U
+        np.matmul(gate[::step, ::step], u.reshape(shape), out=scratch.reshape(shape))
+        u, scratch = scratch, u
     return u
 
 

@@ -352,6 +352,25 @@ class TestScheduleInputErrors:
             assert out == ""
             assert err == f"error: {message}"
 
+    def test_schedule_file_past_rotation_picture_limit_resolves_no_word(self, capsys, monkeypatch, tmp_path):
+        def never(self):
+            raise AssertionError("a pulse word was built for a chain no path can read")
+
+        monkeypatch.setattr(generators.GeneratorRef, "resolve", never)
+        n = frame.MAX_FRAME_QUBITS + 1
+        limits = f"exceeds the rotation-picture limit of {frame.MAX_FRAME_QUBITS} qubits"
+        for gens, message in (
+            (["e0", "d3"], f"n={n} {limits}\n"),
+            (["e0", "third"], f"n={n} {limits} and the dense limit of {dense.N_MAX_PIPELINE}\n"),
+            (["chirality"], f"n={n} {limits} and the dense limit of {dense.N_MAX_PIPELINE}\n"),
+        ):
+            path = tmp_path / "wide.json"
+            path.write_text(json.dumps({"n": n, "pulses": [{"gen": g, "theta": 0.3} for g in gens]}))
+            code, out, err = run_cli(capsys, "schedule", str(path))
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {message}"
+
     def test_bus_three_schedule_past_dense_limit_exits_two(self, capsys):
         code, out, err = run_cli(
             capsys, "schedule", "--random", "5", "--n", "9", "--bus", "III", "--seed", "1"

@@ -106,6 +106,9 @@ class TestPauliDecompose:
             pauli_decompose(np.zeros((3, 3)))
         with pytest.raises(ValueError):
             pauli_decompose(np.zeros((2, 4)))
+        for flat in (np.array(1.0), np.zeros(4)):
+            with pytest.raises(ValueError, match="matrix must be square"):
+                pauli_decompose(flat)
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_full_sums_round_trip_through_to_matrix(self, n):
@@ -903,7 +906,7 @@ class TestPendingDiagonal:
 
     def test_equal_schedules_give_bit_identical_unitaries(self):
         for buses in (["I", "II"], ["I", "II", "III"]):
-            for cache in (dense._schedule_action, dense._support, dense._window_action):
+            for cache in (dense._word_action, dense._window_blocks):
                 cache.cache_clear()
             cold = run_schedule(random_schedule(5, buses, 200, seed=16))
             payload = random_schedule(5, buses, 200, seed=16).to_json_dict()
@@ -911,17 +914,17 @@ class TestPendingDiagonal:
             assert np.array_equal(cold, warm)
 
     def test_cached_actions_are_read_only(self):
-        refs = [parse_generator(w, 3) for w in ("ZIZ", "-III", "XXI", "IYZ", "-XIY")]
-        for ref in refs:
-            for table in dense._schedule_action(ref):
+        for word in map(PauliString, ("ZIZ", "III", "XXI", "IYZ", "XIY")):
+            for table in dense._word_action(word.x, word.z, word.n):
                 with pytest.raises(ValueError, match="read-only"):
                     table[0] = table[1]
 
     def test_action_cache_stays_under_two_megabytes(self):
         # The largest entry: a word with X and Z at the dense limit.
-        rows, row_phase = dense._schedule_action(parse_generator("Y" * N_MAX_PIPELINE, N_MAX_PIPELINE))
-        assert dense._schedule_action.cache_info().maxsize == dense._PULSE_ACTIONS
-        assert dense._PULSE_ACTIONS * (rows.nbytes + row_phase.nbytes) <= 2 * 2**20
+        word = PauliString("Y" * N_MAX_PIPELINE)
+        rows, phase = dense._word_action(word.x, word.z, N_MAX_PIPELINE)
+        assert dense._word_action.cache_info().maxsize == dense._PULSE_ACTIONS
+        assert dense._PULSE_ACTIONS * (rows.nbytes + phase.nbytes) <= 2 * 2**20
 
 
 @st.composite
@@ -996,25 +999,34 @@ class TestGateFusion:
             assert str(from_schedule.value) == str(from_pulse.value)
 
     def test_local_actions_are_read_only_and_bounded(self):
-        # The window-action cache: one real-form frame matrix per (generator, window).
-        assert dense._window_action.cache_info().maxsize == dense._PULSE_ACTIONS
-        assert dense._support(parse_generator("IXYZ", 4)) == (1, 3)
-        assert dense._support(parse_generator("XIIX", 4)) == (0, 4)
-        assert dense._support(parse_generator("IIII", 4)) == (0, 0)
-        frame = dense._FRAME
-        for word, top, width in (("IXXI", 1, 2), ("IXXI", 0, 3), ("IIYZ", 1, 3), ("-IIIZ", 3, 1)):
-            block = dense._window_action(parse_generator(word, 4), top, width)
-            with pytest.raises(ValueError, match="read-only"):
-                block[0, 0] = 0
-            assert dense._PULSE_ACTIONS * block.nbytes <= 2 * 2**20
-            sign, letters = (-1, word[1:]) if word.startswith("-") else (1, word)
-            inner = 1j * kron_word(letters[top:top + width], sign)
-            want = np.kron(inner, np.eye(frame // 2**width))
+        # One real-form frame matrix per word of the window's frame, 128 KB in all.
+        blocks = dense._window_blocks()
+        assert blocks.shape == (4**dense._GATE_QUBITS, 2 * dense._FRAME, 2 * dense._FRAME)
+        assert blocks.nbytes <= 2**17
+        with pytest.raises(ValueError, match="read-only"):
+            blocks[0, 0, 0] = 0
+        assert dense._support(PauliString("IXYZ")) == (1, 3)
+        assert dense._support(PauliString("XIIX")) == (0, 4)
+        assert dense._support(PauliString("IIII")) == (0, 0)
+        frame, q = dense._FRAME, dense._GATE_QUBITS
+        for word, top, width in (("IXXI", 1, 2), ("IXXI", 0, 3), ("IIYZ", 1, 3), ("IIIZ", 3, 1)):
+            bits = PauliString(word)
+            drop = bits.n - top
+            block = blocks[(bits.x << q >> drop) << q | bits.z << q >> drop]
+            want = np.kron(1j * kron_word(word[top:top + width]), np.eye(frame // 2**width))
             assert np.array_equal(block[:frame, :frame] + 1j * block[frame:, :frame], want), word
+
+    def test_window_table_holds_every_frame_word(self):
+        blocks = dense._window_blocks()
+        for word in all_words(dense._GATE_QUBITS):
+            action = 1j * kron_word(word)
+            want = np.block([[action.real, -action.imag], [action.imag, action.real]])
+            bits = PauliString(word)
+            assert np.array_equal(blocks[bits.x << dense._GATE_QUBITS | bits.z], want), word
 
 
 def _plan_of(schedule):
-    return dense._plan([dense._support(ref) for ref, _ in schedule.pulses], schedule.n)
+    return dense._plan([dense._support(ref.resolve()) for ref, _ in schedule.pulses], schedule.n)
 
 
 def _words(n, words):
@@ -1081,6 +1093,18 @@ class TestGatePlan:
             self._check(schedule)
             assert 12 in _plan_of(schedule)
 
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_negative_wide_words_between_local_runs(self, n):
+        # -Z^n and -e_{2n-1} take the in-place update with their sign on the row phases.
+        rng = random.Random(40 + n)
+        local = list(random_schedule(n, ["I", "II", "III"], 60, seed=n).pulses)
+        wide = [GeneratorRef("raw", n, raw=-majorana(n, 2 * n - 1)), parse_generator("-" + "Z" * n, n)]
+        for ref in wide * 2:
+            local.insert(rng.randrange(len(local)), (ref, rng.uniform(-3, 3)))
+        schedule = PulseSchedule(n=n, pulses=tuple(local))
+        assert sum(type(entry) is int for entry in _plan_of(schedule)) == 4
+        assert np.max(np.abs(run_schedule(schedule) - _oracle_unitary(schedule))) < 1e-13
+
     def test_long_windows_and_many_windows_go_in_batches(self, monkeypatch):
         n = 6
         rng = random.Random(7)
@@ -1113,17 +1137,18 @@ class TestGatePlan:
 
     def test_bus_schedules_close_few_windows_at_the_dense_limit(self, monkeypatch):
         n = N_MAX_PIPELINE
-        calls = []
-        apply_gate = dense._apply_gate
+        plans = []
+        gate_plan = dense._gate_plan
 
-        def counted(*args):
-            calls.append(args[1])
-            return apply_gate(*args)
+        def kept(*args):
+            plans.append(gate_plan(*args))
+            return plans[-1]
 
-        monkeypatch.setattr(dense, "_apply_gate", counted)
+        monkeypatch.setattr(dense, "_gate_plan", kept)
         for seed in (1, 2, 3):
-            calls.clear()
+            plans.clear()
             schedule = random_schedule(n, ["I", "II"], 200, seed=seed)
             run_schedule(schedule)
+            gates = [entry for entry in plans[0] if type(entry) is list]
             windows = [entry for entry in _plan_of(schedule) if type(entry) is list]
-            assert len(calls) == len(windows) <= 30, seed
+            assert len(plans) == 1 and len(gates) == len(windows) <= 30, seed
