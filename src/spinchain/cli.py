@@ -65,12 +65,9 @@ def _cmd_gen(args) -> int:
             *(f"  {ref:<10} {word}" for ref, word in zip(p["refs"], p["members"])),
         ])
         return 0
-    if args.kind in ("e", "d"):
-        if args.k is None:
-            raise ValueError(f"gen {args.kind} requires --k")
-        ref = generators.GeneratorRef(args.kind, n, index=args.k)
-    else:
-        ref = generators.GeneratorRef(args.kind, n)
+    if args.kind in ("e", "d") and args.k is None:
+        raise ValueError(f"gen {args.kind} requires --k")
+    ref = generators.GeneratorRef(args.kind, n, index=args.k)
     pauli = ref.resolve()
     payload = {"kind": args.kind, "n": n, "pauli": str(pauli)}
     if ref.index is not None:

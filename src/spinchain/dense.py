@@ -36,12 +36,11 @@ from .frame import (
     MembershipResult,
     PulseSchedule,
     _check_angle,
-    _check_schedule_qubits,
     _check_tolerance,
     random_schedule,
     rotation_json_dict,
 )
-from .generators import GeneratorRef, gamma_frame, parse_generator
+from .generators import GeneratorRef, _frame_bits, _integer, parse_generator
 from .operators import PauliSum
 from .pauli import PauliString, ResourceLimitError
 
@@ -438,11 +437,12 @@ _BLOCK_BYTES = 2**18
 
 @functools.lru_cache(maxsize=None)
 def _frame_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only bits x_a, z_a of gamma_frame(n), rows r ^ x_a and row phases, one row per word.
+    """Read-only bits x_a, z_a of the frame words, rows r ^ x_a and row phases, one row per word.
 
-    (g_a M)[r] = row_phase[a, r] * M[rows[a, r]] for any matrix M.
+    The bits are generators._frame_bits, the layout of gamma_frame(n), whose
+    phases are +1.  (g_a M)[r] = row_phase[a, r] * M[rows[a, r]] for any matrix M.
     """
-    bits = np.array([(g.x, g.z) for g in gamma_frame(n)])
+    bits = np.array([_frame_bits(n, a) for a in range(2 * n + 1)])
     rows, row_phase = map(np.array, zip(*(_word_action(x, z, n) for x, z in bits.tolist())))
     for table in (bits, rows, row_phase):
         table.flags.writeable = False
@@ -452,7 +452,7 @@ def _frame_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
 def _checked_unitary(u: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, float]:
     """U as a complex array and max |U U+ - I|, after checking tol, n, U's shape, finiteness and unitarity."""
     _check_tolerance(tol)
-    _check_schedule_qubits(n)
+    _integer(n, "schedule n")
     if n < 1:
         raise ValueError("n must be positive")
     _check_n(n)

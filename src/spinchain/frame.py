@@ -1,12 +1,14 @@
 """Pulse schedules, and their rotations in the frame picture, in pure Python.
 
 The frame g_0..g_2n (generators.gamma_frame) is 2n+1 pairwise
-anticommuting Hermitian words, and U g_a U+ = sum_b R[b][a] g_b reads a
-unitary U as a rotation R of S^2n, the higher-dimensional Bloch sphere.
-A frame bilinear is a word equal, up to sign and phase, to g_a g_b
-(a < b): every member of buses I and II, every chain operator (g_k g_2n)
-and any literal of that form.  A pulse exp(i t W) with W = s i g_a g_b,
-s = +-1, fixes every g_c with c outside {a, b} and takes
+anticommuting Hermitian words; this module reads their bits (x, z) from
+generators._frame_bits, the one layout rule of the named words.
+U g_a U+ = sum_b R[b][a] g_b reads a unitary U as a rotation R of S^2n,
+the higher-dimensional Bloch sphere.  A frame bilinear is a word equal,
+up to sign and phase, to g_a g_b (a < b): every member of buses I and
+II, every chain operator (g_k g_2n) and any literal of that form.  A
+pulse exp(i t W) with W = s i g_a g_b, s = +-1, fixes every g_c with c
+outside {a, b} and takes
 
     g_a -> cos 2t g_a + s sin 2t g_b,    g_b -> cos 2t g_b - s sin 2t g_a,
 
@@ -31,7 +33,7 @@ from itertools import combinations
 from operator import mul
 from typing import Sequence
 
-from .generators import GeneratorRef, build_bus, parse_generator
+from .generators import GeneratorRef, _frame_bits, _integer, build_bus, parse_generator
 from .pauli import PauliString, ResourceLimitError, bits_product
 
 # Longest schedule accepted; each pulse costs O(4^n) in dense, O(n) here.
@@ -71,13 +73,6 @@ def _check_angle(theta, pulse: str) -> None:
         raise ValueError(f"{pulse} has a non-finite angle {theta!r}")
 
 
-def _check_schedule_qubits(n) -> None:
-    """A schedule's n is an int or a numpy integer, not a bool; from_json_dict applies it too."""
-    # A plain int, the common case, skips the ABC check, as in _check_angle.
-    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)):
-        raise ValueError(f"schedule n must be an integer, got {n!r}")
-
-
 def _check_schedule_length(length: int) -> None:
     if length > MAX_SCHEDULE_PULSES:
         raise ResourceLimitError(
@@ -102,8 +97,7 @@ class PulseSchedule:
     pulses: tuple[tuple[GeneratorRef, float], ...]
 
     def __post_init__(self):
-        _check_schedule_qubits(self.n)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _integer(self.n, "schedule n"))
         if self.n < 1:
             raise ValueError("n must be positive")
         object.__setattr__(self, "pulses", tuple((ref, theta) for ref, theta in self.pulses))
@@ -126,8 +120,7 @@ class PulseSchedule:
     @classmethod
     def from_json_dict(cls, payload) -> "PulseSchedule":
         try:
-            n = payload["n"]
-            _check_schedule_qubits(n)
+            n = _integer(payload["n"], "schedule n")
             pulses = []
             for index, p in enumerate(payload["pulses"]):
                 theta = p["theta"]
@@ -178,20 +171,6 @@ class MembershipResult:
     orthogonality: float | None = field(default=None, compare=False, repr=False)
     det_deviation: float | None = field(default=None, compare=False, repr=False)
     unitarity: float | None = field(default=None, compare=False, repr=False)
-
-
-def _frame_bits(n: int, a: int) -> tuple[int, int]:
-    """Bits (x, z) of gamma_frame(n)[a], whose phase is +1.
-
-    Word 2m is I^m Y Z^(n-m-1), word 2m+1 is I^m X Z^(n-m-1) and word 2n
-    is Z^n; qubit m is bit n-1-m.
-    """
-    if a == 2 * n:
-        return 0, (1 << n) - 1
-    m, odd = divmod(a, 2)
-    qubit = 1 << (n - 1 - m)
-    tail = (qubit << 1) - 1  # qubits m..n-1
-    return qubit, tail ^ qubit if odd else tail
 
 
 def _frame_plane(word: PauliString) -> tuple[int, int, int] | None:

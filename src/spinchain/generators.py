@@ -1,4 +1,4 @@
-"""Named generator families for an n-qubit spin chain.
+"""Named generator families for an n-qubit spin chain, built from word bits.
 
 The central objects are the 2n Jordan-Wigner chain operators (Majorana
 operators): a Z-prefix of length m followed by X or Y, acting on qubit m.
@@ -12,13 +12,21 @@ realize a Clifford algebra on the chain.  From them this module builds:
   which is Z on every qubit),
 - the three control buses, and
 - the rotation frame used to read unitaries as rotations of a
-  (2n+1)-dimensional sphere.
+  (2n+1)-dimensional sphere (Jozsa & Miyake, arXiv:0804.4050).
+
+Every named word is made from its symplectic bits (x, z), qubit 0 the top
+bit (Aaronson & Gottesman, arXiv:quant-ph/0406196), with no string built.
+_frame_bits is the one layout rule: frame and dense read the frame's
+bits from it, and chain operator k is frame word k with z flipped on
+every qubit.  _checked is the one validity rule of the named kinds, for
+the public builders and GeneratorRef alike.
 
 All constructors return Hermitian strings with phase +1.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,16 +35,83 @@ from .pauli import PauliParseError, PauliString, parse_pauli
 BUS_IDS = ("I", "II", "III")
 
 
+def _frame_bits(n: int, a: int) -> tuple[int, int]:
+    """Bits (x, z) of gamma_frame(n)[a], whose phase is +1.
+
+    Word 2m is I^m Y Z^(n-m-1), word 2m+1 is I^m X Z^(n-m-1) and word 2n
+    is Z^n; qubit m is bit n-1-m.
+    """
+    if a == 2 * n:
+        return 0, (1 << n) - 1
+    m, odd = divmod(a, 2)
+    qubit = 1 << (n - 1 - m)
+    tail = (qubit << 1) - 1  # qubits m..n-1
+    return qubit, tail ^ qubit if odd else tail
+
+
+def _integer(value, what: str) -> int:
+    """value as an int: an int or another integer type (numpy's), not a bool or a float.
+
+    Integer types are those with __index__; what names the value in the message.
+    """
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _checked(kind: str, n, index=None) -> tuple[int, Optional[int]]:
+    """n and index of a valid generator of this kind, as ints; ValueError otherwise.
+
+    The one validity rule of the kinds: the public builders and
+    GeneratorRef both apply it.  Kinds e and d need an index, and the
+    others take none, so that a reference's label names it exactly.
+    """
+    n = _integer(n, "n")
+    if n < 1:
+        raise ValueError("n must be positive")
+    if kind not in ("e", "d", "third", "chirality", "raw"):
+        raise ValueError(f"unknown generator kind {kind!r}")
+    if kind in ("e", "d"):
+        if index is None:
+            raise ValueError(f"kind {kind!r} needs an index")
+        index = _integer(index, "index")
+        hi = 2 * n - 1 if kind == "e" else 2 * n - 2
+        if not 0 <= index <= hi:
+            raise ValueError(f"index {index} out of range 0..{hi} for kind {kind!r}, n={n}")
+    elif index is not None:
+        raise ValueError(f"kind {kind!r} takes no index, got {index!r}")
+    elif kind == "third" and n < 2:
+        raise ValueError("third-order gate needs at least 2 qubits")
+    return n, index
+
+
+def _word(kind: str, n: int, index: Optional[int]) -> PauliString:
+    """The named word of a valid (kind, n, index), from its bits, with phase +1."""
+    if kind == "e":
+        x, z = _frame_bits(n, index)
+        z ^= (1 << n) - 1
+    elif kind == "d":  # index 2m: Z on qubit m; index 2m+1: XX on qubits m, m+1
+        qubit = 1 << (n - 1 - index // 2)
+        x, z = (qubit | qubit >> 1, 0) if index & 1 else (0, qubit)
+    elif kind == "third":  # Y on qubit 1
+        x = z = 1 << (n - 2)
+    else:  # the chirality, Z on every qubit
+        x, z = 0, (1 << n) - 1
+    return PauliString._make(n, x, z, 0)
+
+
 def majorana(n: int, k: int) -> PauliString:
     """The k-th chain operator, 0 <= k <= 2n-1.
 
     Even index 2m: Z^m (x) X (x) I^(n-m-1).
     Odd index 2m+1: Z^m (x) Y (x) I^(n-m-1).
     """
-    if not 0 <= k <= 2 * n - 1:
-        raise ValueError(f"majorana index {k} out of range for n={n}")
-    m, r = divmod(k, 2)
-    return PauliString("Z" * m + ("X" if r == 0 else "Y") + "I" * (n - m - 1))
+    return _word("e", *_checked("e", n, k))
 
 
 def majorana_bilinear(n: int, k: int) -> PauliString:
@@ -47,12 +122,7 @@ def majorana_bilinear(n: int, k: int) -> PauliString:
     i * majorana(k+1) * majorana(k) exactly (in that order; the reversed
     product flips the sign).
     """
-    if not 0 <= k <= 2 * n - 2:
-        raise ValueError(f"bilinear index {k} out of range for n={n}")
-    m, r = divmod(k, 2)
-    if r == 0:
-        return PauliString("I" * m + "Z" + "I" * (n - m - 1))
-    return PauliString("I" * m + "XX" + "I" * (n - m - 2))
+    return _word("d", *_checked("d", n, k))
 
 
 def third_order_gate(n: int) -> PauliString:
@@ -62,9 +132,7 @@ def third_order_gate(n: int) -> PauliString:
     to a unit phase (the product carries a factor i); that identity is a
     test, not re-derived here.
     """
-    if n < 2:
-        raise ValueError("third-order gate needs at least 2 qubits")
-    return PauliString("IY" + "I" * (n - 2))
+    return _word("third", *_checked("third", n))
 
 
 def chirality(n: int) -> PauliString:
@@ -75,13 +143,11 @@ def chirality(n: int) -> PauliString:
     identity, and anticommutes with each chain operator, so it serves as
     the extra (2n+1)-th anticommuting element.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return PauliString("Z" * n)
+    return _word("chirality", *_checked("chirality", n))
 
 
 def gamma_frame(n: int) -> tuple[PauliString, ...]:
-    """The 2n+1 Hermitian anticommuting words used for rotation extraction.
+    """The 2n+1 Hermitian anticommuting words used for rotation extraction, from _frame_bits.
 
     Frame element a < 2n is the phase-normalized product i * majorana(a)
     * chirality; element 2n is the chirality itself.  Multiplying by the
@@ -94,9 +160,8 @@ def gamma_frame(n: int) -> tuple[PauliString, ...]:
     n > 1: conjugating one chain operator by a pulse on another leaks
     onto bilinear words outside any 2n+1 dimensional span.)
     """
-    gam = chirality(n)
-    prods = [majorana(n, a) * gam for a in range(2 * n)]
-    return tuple(p.phase.conjugate() * p for p in prods) + (gam,)  # phases set to +1
+    n, _ = _checked("chirality", n)  # word 2n is the chirality
+    return tuple(PauliString._make(n, *_frame_bits(n, a), 0) for a in range(2 * n + 1))
 
 
 def subset_product(n: int, indices) -> PauliString:
@@ -127,38 +192,18 @@ class GeneratorRef:
     raw: Optional[PauliString] = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.kind in ("e", "d"):
-            if self.index is None:
-                raise ValueError(f"kind {self.kind!r} needs an index")
-            hi = 2 * self.n - 1 if self.kind == "e" else 2 * self.n - 2
-            if not 0 <= self.index <= hi:
-                raise ValueError(
-                    f"index {self.index} out of range 0..{hi} for kind {self.kind!r}, n={self.n}"
-                )
-        elif self.kind == "third":
-            if self.n < 2:
-                raise ValueError("third-order gate needs at least 2 qubits")
-        elif self.kind == "raw":
+        n, index = _checked(self.kind, self.n, self.index)
+        if self.kind == "raw":
             if self.raw is None:
                 raise ValueError("raw reference needs a PauliString")
-            if self.raw.n != self.n:
-                raise ValueError(f"raw string acts on {self.raw.n} qubits, expected {self.n}")
-        elif self.kind != "chirality":
-            raise ValueError(f"unknown generator kind {self.kind!r}")
+            if self.raw.n != n:
+                raise ValueError(f"raw string acts on {self.raw.n} qubits, expected {n}")
+        if n is not self.n or index is not self.index:  # a numpy integer, stored as int
+            self.__dict__.update(n=n, index=index)
 
     def resolve(self) -> PauliString:
         """The concrete PauliString this reference names."""
-        if self.kind == "e":
-            return majorana(self.n, self.index)
-        if self.kind == "d":
-            return majorana_bilinear(self.n, self.index)
-        if self.kind == "third":
-            return third_order_gate(self.n)
-        if self.kind == "chirality":
-            return chirality(self.n)
-        return self.raw
+        return self.raw if self.kind == "raw" else _word(self.kind, self.n, self.index)
 
     @property
     def label(self) -> str:
@@ -177,7 +222,7 @@ def parse_generator(text: str, n: int) -> GeneratorRef:
         return GeneratorRef("third", n)
     if text == "chirality":
         return GeneratorRef("chirality", n)
-    if len(text) >= 2 and text[0] in ("e", "d") and text[1:].isdigit():
+    if len(text) >= 2 and text[0] in ("e", "d") and text[1:].isascii() and text[1:].isdigit():
         return GeneratorRef(text[0], n, index=int(text[1:]))
     try:
         raw = parse_pauli(text, n)
@@ -200,11 +245,8 @@ class GateBus:
     n: int
     members: tuple[GeneratorRef, ...]
 
-    def paulis(self) -> list[PauliString]:
-        return [ref.resolve() for ref in self.members]
-
     def words(self) -> list[str]:
-        return [p.letters for p in self.paulis()]
+        return [ref.resolve().letters for ref in self.members]
 
 
 def build_bus(n: int, bus_id: str) -> GateBus:

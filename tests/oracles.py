@@ -1,14 +1,14 @@
 """Independent numeric oracles used across the test suite.
 
 Everything here builds matrices from literal 2x2 Paulis and numpy only,
-and words from its own bit encoding, deliberately bypassing the
-package's own dense backend and closure engines, so agreement between
-the two is a real cross-check and not a tautology.  The exceptions are
-earlier engines kept as references for the ones in the package:
-closure_general_gram_schmidt does its Gram-Schmidt with PauliSum
-arithmetic instead of numpy rows over a word index, and
-verify_car_all_pairs builds every ordered-pair anticommutator as a
-PauliSum.
+and words from its own bit encoding or letter by letter, deliberately
+bypassing the package's own dense backend, closure engines and word
+builders, so agreement between the two is a real cross-check and not a
+tautology.  The exceptions are earlier engines kept as references for
+the ones in the package: closure_general_gram_schmidt does its
+Gram-Schmidt with PauliSum arithmetic instead of numpy rows over a word
+index, and verify_car_all_pairs builds every ordered-pair anticommutator
+as a PauliSum.
 """
 
 import itertools
@@ -61,6 +61,48 @@ def letter_product(a, b):
         exp += d
         out.append(lc)
     return exp % 4, "".join(out)
+
+
+def kron_bits(word):
+    """(x, z) of a word in the package's order, qubit 0 the top bit, read letter by letter."""
+    x = int("".join("1" if ch in "XY" else "0" for ch in word), 2)
+    z = int("".join("1" if ch in "YZ" else "0" for ch in word), 2)
+    return x, z
+
+
+# The named words as letters, each from its definition: the string
+# builders the package used before it built them from bits.
+
+
+def chain_word(n, k):
+    """Chain operator k: Z on qubits 0..m-1, then X (k = 2m) or Y (k = 2m+1) on qubit m."""
+    m, r = divmod(k, 2)
+    return "Z" * m + "XY"[r] + "I" * (n - m - 1)
+
+
+def bilinear_word(n, k):
+    """Adjacent bilinear k: Z on qubit m (k = 2m) or XX on qubits m, m+1 (k = 2m+1)."""
+    m, r = divmod(k, 2)
+    return "I" * m + ("XX" if r else "Z") + "I" * (n - m - 1 - r)
+
+
+def third_word(n):
+    """The third-order gate: Y on qubit 1."""
+    return "IY" + "I" * (n - 2)
+
+
+def chirality_word(n):
+    """Z on every qubit."""
+    return "Z" * n
+
+
+def frame_word(n, a):
+    """Frame word a: i * chain_word(a) * Z^n with its phase set to +1 for a < 2n, Z^n for a = 2n."""
+    if a == 2 * n:
+        return chirality_word(n)
+    exp, word = letter_product(chain_word(n, a), chirality_word(n))
+    assert (exp + 1) % 2 == 0, "i e_a Z^n must be Hermitian"
+    return word
 
 
 def compose_pulses(n, pulses):

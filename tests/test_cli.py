@@ -134,6 +134,14 @@ class TestClosure:
         code, _, err = run_cli(capsys, "closure", "--n", "2", "--gen", "q9")
         assert code == 2
 
+    # Arabic-Indic three, fullwidth one, superscript three: digits to str.isdigit, not to the grammar
+    @pytest.mark.parametrize("gen", ["e\u0663", "d\uff11", "e\u00b3"])
+    def test_non_ascii_index_digit_exits_two(self, capsys, gen):
+        code, out, err = run_cli(capsys, "closure", "--n", "3", "--gen", gen)
+        assert code == 2
+        assert out == ""
+        assert f"cannot parse generator {gen!r}" in err
+
     def test_closure_past_budget_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "closure", "--n", "10", "--bus", "I,II,III")
         assert code == 2
@@ -288,6 +296,14 @@ class TestScheduleInputErrors:
         assert code == 2
         assert out == ""
         assert "integer" in err
+
+    def test_non_ascii_index_digit_in_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "digit.json"
+        path.write_text(json.dumps({"n": 3, "pulses": [{"gen": "e\u0663", "theta": 0.3}]}))
+        code, out, err = run_cli(capsys, "schedule", str(path))
+        assert code == 2
+        assert out == ""
+        assert "cannot parse generator" in err
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_non_positive_n_in_file_exits_two(self, capsys, tmp_path, n):

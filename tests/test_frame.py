@@ -25,6 +25,8 @@ from spinchain import (
 from spinchain import frame
 from spinchain.generators import build_bus
 
+from oracles import frame_word, kron_bits
+
 
 def raw(word: PauliString) -> GeneratorRef:
     return GeneratorRef("raw", word.n, raw=word)
@@ -36,9 +38,11 @@ def dense_membership(schedule):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_frame_bits_are_gamma_frame(n):
-    assert [(g.x, g.z, g.phase_exp) for g in gamma_frame(n)] == [
-        (*frame._frame_bits(n, a), 0) for a in range(2 * n + 1)
-    ]
+    # Against the letter-built frame of tests/oracles.py: the package builds
+    # gamma_frame from the same _frame_bits that frame reads planes with.
+    want = [kron_bits(frame_word(n, a)) for a in range(2 * n + 1)]
+    assert [frame._frame_bits(n, a) for a in range(2 * n + 1)] == want
+    assert [(g.x, g.z, g.phase_exp) for g in gamma_frame(n)] == [(*bits, 0) for bits in want]
 
 
 @pytest.mark.parametrize("n", range(1, 6))

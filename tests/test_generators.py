@@ -1,13 +1,16 @@
 """Tests for the named generator families, buses, and the rotation frame."""
 
 import itertools
+import re
 
+import numpy as np
 import pytest
 
 from spinchain import (
     GeneratorRef,
     PauliString,
     PauliSum,
+    PulseSchedule,
     build_bus,
     chirality,
     gamma_frame,
@@ -17,6 +20,8 @@ from spinchain import (
     subset_product,
     third_order_gate,
 )
+
+from oracles import bilinear_word, chain_word, chirality_word, frame_word, kron_bits, third_word
 
 
 class TestMajorana:
@@ -206,3 +211,100 @@ class TestGeneratorRefs:
             GeneratorRef("raw", 2)
         with pytest.raises(ValueError):
             parse_generator("q7", 2)
+
+    @pytest.mark.parametrize(
+        "kind, n, index, message",
+        [
+            ("e", 2, True, "index must be an integer, got True"),
+            ("e", 2, 1.0, "index must be an integer, got 1.0"),
+            ("d", 3, np.True_, f"index must be an integer, got {np.True_!r}"),
+            ("e", 2.0, 0, "n must be an integer, got 2.0"),
+            ("third", True, None, "n must be an integer, got True"),
+            ("chirality", 2.0, None, "n must be an integer, got 2.0"),
+            ("raw", 2.0, None, "n must be an integer, got 2.0"),
+        ],
+    )
+    def test_non_integral_fields_are_refused(self, kind, n, index, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GeneratorRef(kind, n, index=index, raw=PauliString("XY") if kind == "raw" else None)
+
+    @pytest.mark.parametrize("kind, n", [("third", 3), ("chirality", 2), ("raw", 2)])
+    def test_kinds_without_an_index_refuse_one(self, kind, n):
+        # The label drops an index, so such a schedule would not round-trip through JSON.
+        with pytest.raises(ValueError, match=f"kind {kind!r} takes no index, got 5"):
+            GeneratorRef(kind, n, index=5, raw=PauliString("XY") if kind == "raw" else None)
+
+    def test_builders_apply_the_same_rule(self):
+        for build, args in ((majorana, (2, True)), (majorana, (2.0, 0)), (majorana_bilinear, (2, 1.0)),
+                            (third_order_gate, (2.0,)), (chirality, (True,)), (gamma_frame, (2.0,))):
+            with pytest.raises(ValueError, match="must be an integer"):
+                build(*args)
+        with pytest.raises(ValueError, match="out of range 0..3 for kind 'e', n=2"):
+            majorana(2, 4)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        ref = GeneratorRef("e", np.int64(3), index=np.int32(5))
+        assert (type(ref.n), type(ref.index)) == (int, int)
+        assert ref == GeneratorRef("e", 3, index=5) and hash(ref) == hash(GeneratorRef("e", 3, index=5))
+        assert ref.label == "e5"
+        built = majorana(np.int64(3), np.uint8(5))
+        assert (type(built.n), built) == (int, majorana(3, 5))
+
+    def test_schedule_of_numpy_refs_round_trips_through_json(self):
+        refs = (GeneratorRef("e", np.int64(2), index=np.int64(1)), GeneratorRef("d", 2, index=np.int16(2)))
+        schedule = PulseSchedule(n=2, pulses=tuple((ref, 0.3) for ref in refs))
+        assert [p["gen"] for p in schedule.to_json_dict()["pulses"]] == ["e1", "d2"]
+        assert PulseSchedule.from_json_dict(schedule.to_json_dict()) == schedule
+
+    @pytest.mark.parametrize("text", ["e\u0663", "d\uff11", "e\u00b3", "e\u0661\u0660"])
+    def test_index_digits_are_ascii_only(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse generator {text!r}")):
+            parse_generator(text, 3)
+
+
+def fields(word):
+    return word.n, word.x, word.z, word.phase_exp
+
+
+def oracle_fields(letters):
+    """The fields of the Hermitian word with these letters and phase +1, from the letter oracle."""
+    return len(letters), *kron_bits(letters), 0
+
+
+def named_cases(n, chain, bilinears, frame):
+    """(built word, oracle letters) for the given chain, bilinear and frame indices, third and chirality.
+
+    Each named word is built twice: by its public builder and by resolving its parsed label.
+    """
+    cases = []
+    for build, letters, label, indices in ((majorana, chain_word, "e", chain),
+                                           (majorana_bilinear, bilinear_word, "d", bilinears)):
+        for k in indices:
+            want = letters(n, k)
+            cases += [(build(n, k), want), (parse_generator(f"{label}{k}", n).resolve(), want)]
+    named = [(chirality, chirality_word, "chirality")]
+    if n >= 2:
+        named.append((third_order_gate, third_word, "third"))
+    for build, letters, label in named:
+        cases += [(build(n), letters(n)), (parse_generator(label, n).resolve(), letters(n))]
+    words = gamma_frame(n)
+    assert len(words) == 2 * n + 1
+    return cases + [(words[a], frame_word(n, a)) for a in frame]
+
+
+class TestLetterOracle:
+    """Every named word and the frame against letter-built words (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_every_named_word(self, n):
+        cases = named_cases(n, range(2 * n), range(2 * n - 1), range(2 * n + 1))
+        for built, letters in cases:
+            assert fields(built) == oracle_fields(letters), letters
+
+    def test_spot_check_at_n_1000(self):
+        n = 1000
+        ends = [0, 1, 2, 3, n - 1, n, n + 1]
+        cases = named_cases(n, ends + [2 * n - 2, 2 * n - 1], ends + [2 * n - 3, 2 * n - 2],
+                            ends + [2 * n - 1, 2 * n])
+        for built, letters in cases:
+            assert fields(built) == oracle_fields(letters)
