@@ -5,19 +5,48 @@ fails, 2 usage or input error.  JSON is the machine interface; pass
 ``--output table`` for aligned human-readable text.  Randomized commands
 take an explicit ``--seed``.  Floats are rounded to 12 decimals before
 either form is printed, so command output is byte-stable.
+
+Importing this module executes no layer of the package: each is
+registered to execute on its first attribute read, so a command pays to
+import only the layers it reads, and a bus-I/II schedule runs without
+numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 
-from . import closure as closure_mod
-# dense (and numpy) is executed on its first attribute read, in _cmd_schedule
-# for a schedule that frame cannot read (or to name its limit in an error).
-from . import dense, frame, generators, operators
-from .pauli import ResourceLimitError
+
+def _layer(name: str):
+    """spinchain.<name>, registered to execute on its first attribute read.
+
+    A layer that is already imported is reused as it is.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Every layer is registered here and executed by the first command that
+# reads it: gen runs pauli and generators; car adds operators to those
+# two, closure adds closure, and schedule adds frame.  dense (and numpy,
+# and operators with it) runs only for a schedule that frame cannot read,
+# or to name dense's limit in an error.
+pauli = _layer("pauli")
+generators = _layer("generators")
+operators = _layer("operators")
+closure_mod = _layer("closure")
+frame = _layer("frame")
+dense = _layer("dense")
 
 FLOAT_DECIMALS = 12
 
@@ -124,7 +153,7 @@ def _check_readable(n: int, bilinear: bool) -> None:
     if n > frame.MAX_FRAME_QUBITS:
         if bilinear:
             frame._check_frame_qubits(n)
-        raise ResourceLimitError(
+        raise pauli.ResourceLimitError(
             f"n={n} exceeds the rotation-picture limit of {frame.MAX_FRAME_QUBITS} "
             f"qubits and the dense limit of {dense.N_MAX_PIPELINE}"
         )

@@ -30,9 +30,8 @@ dimension formula matches, and are not a proof of isomorphism type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
-from .operators import PauliSum
 from .pauli import (
     ResourceLimitError,
     anticommutation_masks,
@@ -42,6 +41,9 @@ from .pauli import (
     word_code,
     words_to_bits,
 )
+
+if TYPE_CHECKING:  # an annotation only: closure_strings runs without operators
+    from .operators import PauliSum
 
 MAX_CLOSURE_DIMENSION = 4**9 - 1
 

@@ -182,8 +182,9 @@ class GeneratorRef:
 
     kind is one of "e" (chain operator, needs index), "d" (adjacent
     bilinear, needs index), "third", "chirality", or "raw" (carries an
-    explicit PauliString).  The text form matches the CLI grammar:
-    "e0", "d3", "third", "chirality", or a Pauli literal like "XY".
+    explicit PauliString, which no other kind takes).  The text form
+    matches the CLI grammar: "e0", "d3", "third", "chirality", or a Pauli
+    literal like "XY".
     """
 
     kind: str
@@ -194,10 +195,13 @@ class GeneratorRef:
     def __post_init__(self):
         n, index = _checked(self.kind, self.n, self.index)
         if self.kind == "raw":
-            if self.raw is None:
-                raise ValueError("raw reference needs a PauliString")
+            if not isinstance(self.raw, PauliString):
+                raise ValueError(f"raw reference needs a PauliString, got {self.raw!r}")
             if self.raw.n != n:
                 raise ValueError(f"raw string acts on {self.raw.n} qubits, expected {n}")
+        elif self.raw is not None:
+            # The label would drop it, as it would a stray index.
+            raise ValueError(f"kind {self.kind!r} takes no raw string, got {self.raw!r}")
         if n is not self.n or index is not self.index:  # a numpy integer, stored as int
             self.__dict__.update(n=n, index=index)
 

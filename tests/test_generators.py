@@ -234,6 +234,20 @@ class TestGeneratorRefs:
         with pytest.raises(ValueError, match=f"kind {kind!r} takes no index, got 5"):
             GeneratorRef(kind, n, index=5, raw=PauliString("XY") if kind == "raw" else None)
 
+    def test_raw_kind_needs_a_pauli_string(self):
+        with pytest.raises(ValueError, match="raw reference needs a PauliString, got 'XY'"):
+            GeneratorRef("raw", 2, raw="XY")
+        with pytest.raises(ValueError, match="raw reference needs a PauliString, got None"):
+            GeneratorRef("raw", 2)
+
+    @pytest.mark.parametrize("kind, n, index", [("e", 2, 0), ("d", 2, 1), ("third", 2, None),
+                                                ("chirality", 2, None)])
+    def test_named_kinds_refuse_a_raw_string(self, kind, n, index):
+        # The label drops it: GeneratorRef("e", 2, index=0, raw=...) would print as e0,
+        # resolve to e0's word, and still differ from GeneratorRef("e", 2, index=0).
+        with pytest.raises(ValueError, match=f"kind {kind!r} takes no raw string, got"):
+            GeneratorRef(kind, n, index=index, raw=PauliString("XY"))
+
     def test_builders_apply_the_same_rule(self):
         for build, args in ((majorana, (2, True)), (majorana, (2.0, 0)), (majorana_bilinear, (2, 1.0)),
                             (third_order_gate, (2.0,)), (chirality, (True,)), (gamma_frame, (2.0,))):

@@ -1,10 +1,14 @@
-"""Import guards: the exact-algebra commands start without numpy.
+"""Import guards: `import spinchain` executes no layer, each CLI command
+executes only the layers it reads, and the exact-algebra commands start
+without numpy.
 
-numpy is imported by `dense` (loaded on first use) and inside
-`closure_general` only.  A `schedule` of frame bilinears is read in the
-rotation picture (`frame`) and starts without numpy too; any other
-schedule is composed by `dense`.  pytest has loaded numpy already, so
-each guard runs in a fresh interpreter.
+Each public name is imported from its layer on its first read; `cli`
+registers every layer to execute on its first attribute read.  numpy is
+imported by `dense` and inside `closure_general` only.  A `schedule` of
+frame bilinears is read in the rotation picture (`frame`) and starts
+without numpy too; any other schedule is composed by `dense`.  pytest
+has imported the package and numpy already, so each guard runs in a
+fresh interpreter.
 """
 
 import os
@@ -33,6 +37,20 @@ from spinchain.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
 print(code, "numpy" in sys.modules)
+"""
+
+
+# Runs cli.main on argv with stdout discarded, then prints the exit code
+# and the layers executed, comma-separated.  A layer registered by cli but
+# never read is still a lazy module, not a plain module.
+LAYER_PROBE = """
+import contextlib, io, sys, types
+from spinchain.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, ",".join(sorted(name.split(".")[1] for name, module in sys.modules.items()
+                            if name.startswith("spinchain.") and name != "spinchain.cli"
+                            and type(module) is types.ModuleType)))
 """
 
 
@@ -65,6 +83,55 @@ def test_algebra_commands_do_not_import_numpy(argv, code):
 def test_schedule_imports_numpy():
     argv = ["schedule", "--random", "5", "--n", "2", "--bus", "III", "--seed", "1"]
     assert fresh(CLI_PROBE, *argv) == ["0", "True"]
+
+
+def test_bare_import_executes_no_layer():
+    probe = """
+import sys
+import spinchain
+print([name for name in sys.modules if name.startswith("spinchain.")])
+"""
+    assert fresh(probe) == ["[]"]
+
+
+def test_reading_a_name_imports_its_layer_only():
+    probe = """
+import sys
+import spinchain
+spinchain.PauliString
+print(",".join(name for name in sys.modules if name.startswith("spinchain.")))
+print(vars(spinchain)["PauliString"] is sys.modules["spinchain.pauli"].PauliString)
+"""
+    assert fresh(probe) == ["spinchain.pauli", "True"]
+
+
+@pytest.mark.parametrize("argv, code, layers", [
+    (["gen", "e", "--n", "4", "--k", "3"], 0, "generators,pauli"),
+    (["gen", "bus", "--n", "3", "--id", "III"], 0, "generators,pauli"),
+    (["car", "--n", "4"], 0, "generators,operators,pauli"),
+    (["car", "--n", "4", "--inject-fault"], 1, "generators,operators,pauli"),
+    (["closure", "--n", "4", "--bus", "I,II,III"], 0, "closure,generators,pauli"),
+    (["closure", "--n", "3", "--gen", "e0,XYZ"], 0, "closure,generators,pauli"),
+    (["schedule", "--random", "20", "--n", "4", "--bus", "I,II", "--seed", "1"], 0,
+     "frame,generators,pauli"),
+    (["schedule", str(FRAME_SCHEDULE)], 0, "frame,generators,pauli"),
+    (["schedule", "--random", "5", "--n", "2", "--bus", "III", "--seed", "1"], 0,
+     "dense,frame,generators,operators,pauli"),
+])
+def test_command_executes_only_the_layers_it_reads(argv, code, layers):
+    assert fresh(LAYER_PROBE, *argv) == [str(code), layers]
+
+
+def test_cli_reuses_an_imported_layer():
+    probe = """
+import sys, types
+import spinchain
+word = spinchain.PauliString
+import spinchain.cli
+print(spinchain.cli.pauli is sys.modules["spinchain.pauli"], spinchain.cli.pauli.PauliString is word)
+print(type(spinchain.cli.dense) is types.ModuleType, spinchain.dense is spinchain.cli.dense)
+"""
+    assert fresh(probe) == ["True", "True", "False", "True"]
 
 
 def test_bare_import_defers_dense():
