@@ -180,7 +180,7 @@ def _load_schedule(args) -> frame.PulseSchedule:
 def _cmd_schedule(args) -> int:
     """A schedule of frame bilinears is read as R in the rotation picture;
     any other (bus III, the chirality) is composed into a dense unitary."""
-    frame._check_tolerance(args.tolerance)
+    pauli._check_tolerance(args.tolerance)
     schedule = _load_schedule(args)
     membership = frame.frame_membership(schedule, tol=args.tolerance)
     if membership is None:

@@ -34,6 +34,8 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .pauli import (
     ResourceLimitError,
+    _check_tolerance,
+    _qubits,
     anticommutation_masks,
     bits_product,
     code_to_bits,
@@ -93,6 +95,7 @@ def classify_dimension(n: int, dim: int) -> str:
     anything else -> "other".  At n=1 the last two formulas tie at 3;
     "su(2^n)" wins there (the algebras coincide).
     """
+    n = _qubits(n)
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
     if dim == 4**n - 1:
@@ -156,6 +159,7 @@ def closure_strings(n: int, generators: Iterable[str]) -> ClosureReport:
     commutators and would break the dimension count).  Output basis is
     sorted and independent of generator order.
     """
+    n = _qubits(n)
     gens = words_to_bits(n, sorted(set(generators)))
     if not gens:
         raise ValueError("generator set must be nonempty")
@@ -187,8 +191,8 @@ def closure_general(n: int, generators: Sequence[PauliSum], tol: float = 1e-9) -
     # the CLI commands built on it run without it.
     import numpy as np
 
-    if not 0 < tol < float("inf"):
-        raise ValueError("tol must be positive and finite")
+    n = _qubits(n)
+    _check_tolerance(tol, "tol")
     if not generators:
         raise ValueError("generator set must be nonempty")
     for g in generators:
@@ -261,4 +265,4 @@ def closure_general(n: int, generators: Sequence[PauliSum], tol: float = 1e-9) -
 def check_universality(n: int, generators: Iterable[str]) -> UniversalityResult:
     """String closure plus the universality verdict: dimension == 4^n - 1."""
     report = closure_strings(n, generators)
-    return UniversalityResult(universal=report.dimension == 4**n - 1, report=report)
+    return UniversalityResult(universal=report.dimension == 4**report.n - 1, report=report)

@@ -20,7 +20,11 @@ frame_membership reads a schedule this way, and returns None when some
 pulse is no frame bilinear; dense composes those into a 2^n unitary.
 
 The schedule value and its checks live here, not in dense, so that the
-rotation picture runs without numpy; dense re-exports them.
+rotation picture runs without numpy; dense re-exports them.  A schedule's
+n goes through pauli's chain-length rule (_qubits) and its length through
+the integer rule; a tolerance through pauli._check_tolerance.  _pulse_word
+is the one pulse-word rule: both pictures resolve each pulse's word
+through it, so a non-Hermitian word fails the same way on either path.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from itertools import combinations
 from operator import mul
 from typing import Sequence
 
-from .generators import GeneratorRef, _frame_bits, _integer, build_bus, parse_generator
-from .pauli import PauliString, ResourceLimitError, bits_product
+from .generators import GeneratorRef, _frame_bits, build_bus, parse_generator
+from .pauli import PauliString, ResourceLimitError, _check_tolerance, _integer, _qubits, bits_product
 
 # Longest schedule accepted; each pulse costs O(4^n) in dense, O(n) here.
 MAX_SCHEDULE_PULSES = 10**5
@@ -80,11 +84,6 @@ def _check_schedule_length(length: int) -> None:
         )
 
 
-def _check_tolerance(tol: float) -> None:
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError("tolerance must be positive")
-
-
 @dataclass(frozen=True)
 class PulseSchedule:
     """Ordered pulses (generator reference, angle) on an n-qubit chain.
@@ -97,9 +96,7 @@ class PulseSchedule:
     pulses: tuple[tuple[GeneratorRef, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n, "schedule n"))
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        object.__setattr__(self, "n", _qubits(self.n, "schedule n"))
         object.__setattr__(self, "pulses", tuple((ref, theta) for ref, theta in self.pulses))
         _check_schedule_length(len(self.pulses))
         for index, (ref, theta) in enumerate(self.pulses):
@@ -120,7 +117,7 @@ class PulseSchedule:
     @classmethod
     def from_json_dict(cls, payload) -> "PulseSchedule":
         try:
-            n = _integer(payload["n"], "schedule n")
+            n = _qubits(payload["n"], "schedule n")
             pulses = []
             for index, p in enumerate(payload["pulses"]):
                 theta = p["theta"]
@@ -136,6 +133,7 @@ def random_schedule(
     n: int, bus_ids: Sequence[str], length: int, seed: int
 ) -> PulseSchedule:
     """Seeded uniform schedule over the members of the given buses."""
+    length = _integer(length, "schedule length")
     if length < 0:
         raise ValueError(f"schedule length must be non-negative, got {length}")
     _check_schedule_length(length)
@@ -173,6 +171,18 @@ class MembershipResult:
     unitarity: float | None = field(default=None, compare=False, repr=False)
 
 
+def _pulse_word(ref: GeneratorRef) -> PauliString:
+    """ref's word, which must be Hermitian: other phases cannot drive a pulse.
+
+    The one pulse-word rule: frame_membership and dense's schedules both
+    resolve their pulses through it.
+    """
+    word = ref.resolve()
+    if not word.is_hermitian:
+        raise ValueError(f"pulse generator {word} is not Hermitian")
+    return word
+
+
 def _frame_plane(word: PauliString) -> tuple[int, int, int] | None:
     """(a, b, s) with word = s i g_a g_b, a < b and s = +-1, or None for no frame bilinear.
 
@@ -180,11 +190,10 @@ def _frame_plane(word: PauliString) -> tuple[int, int, int] | None:
     qubits of g_a g_b are where those of g_a and g_b differ: the word's x
     bits leave at most four pairs, and the pair whose product has the
     word's bits is the plane.  g_a g_b = i^e W(x, z) with e odd, and
-    word = i^p W(x, z), so s = i^(p - 1 - e).
+    word = i^p W(x, z), so s = i^(p - 1 - e), a sign for a Hermitian word
+    such as _pulse_word returns.
     """
     n, x, z = word.n, word.x, word.z
-    if not word.is_hermitian:
-        raise ValueError(f"pulse generator {word} is not Hermitian")
     count = x.bit_count()
     if count == 0:
         # g_2m g_2m+1 is Z on qubit m alone
@@ -261,7 +270,7 @@ def frame_membership(schedule: PulseSchedule, tol: float = 1e-8) -> MembershipRe
     planes = {}
     for ref, _ in schedule.pulses:
         if ref not in planes:
-            planes[ref] = _frame_plane(ref.resolve())
+            planes[ref] = _frame_plane(_pulse_word(ref))
             if planes[ref] is None:
                 return None
     n = schedule.n

@@ -19,18 +19,19 @@ bit (Aaronson & Gottesman, arXiv:quant-ph/0406196), with no string built.
 _frame_bits is the one layout rule: frame and dense read the frame's
 bits from it, and chain operator k is frame word k with z flipped on
 every qubit.  _checked is the one validity rule of the named kinds, for
-the public builders and GeneratorRef alike.
+the public builders and GeneratorRef alike; it reads n and the index
+through pauli's integer and chain-length rules (_integer, _qubits), as
+build_bus reads n.
 
 All constructors return Hermitian strings with phase +1.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
-from .pauli import PauliParseError, PauliString, parse_pauli
+from .pauli import PauliParseError, PauliString, _integer, _qubits, parse_pauli
 
 BUS_IDS = ("I", "II", "III")
 
@@ -49,21 +50,6 @@ def _frame_bits(n: int, a: int) -> tuple[int, int]:
     return qubit, tail ^ qubit if odd else tail
 
 
-def _integer(value, what: str) -> int:
-    """value as an int: an int or another integer type (numpy's), not a bool or a float.
-
-    Integer types are those with __index__; what names the value in the message.
-    """
-    if type(value) is int:
-        return value
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
-
-
 def _checked(kind: str, n, index=None) -> tuple[int, Optional[int]]:
     """n and index of a valid generator of this kind, as ints; ValueError otherwise.
 
@@ -71,9 +57,7 @@ def _checked(kind: str, n, index=None) -> tuple[int, Optional[int]]:
     GeneratorRef both apply it.  Kinds e and d need an index, and the
     others take none, so that a reference's label names it exactly.
     """
-    n = _integer(n, "n")
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _qubits(n)
     if kind not in ("e", "d", "third", "chirality", "raw"):
         raise ValueError(f"unknown generator kind {kind!r}")
     if kind in ("e", "d"):
@@ -202,8 +186,7 @@ class GeneratorRef:
         elif self.raw is not None:
             # The label would drop it, as it would a stray index.
             raise ValueError(f"kind {self.kind!r} takes no raw string, got {self.raw!r}")
-        if n is not self.n or index is not self.index:  # a numpy integer, stored as int
-            self.__dict__.update(n=n, index=index)
+        self.__dict__.update(n=n, index=index)  # a numpy integer is stored as int
 
     def resolve(self) -> PauliString:
         """The concrete PauliString this reference names."""
@@ -260,8 +243,7 @@ def build_bus(n: int, bus_id: str) -> GateBus:
     n = 1 (there are no couplings on a one-qubit chain).
     """
     bus_id = bus_id.strip().upper()
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _qubits(n)
     if bus_id == "I":
         members = tuple(GeneratorRef("d", n, index=2 * k) for k in range(n))
     elif bus_id == "II":

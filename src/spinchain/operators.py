@@ -31,6 +31,7 @@ from .pauli import (
     PauliString,
     ResourceLimitError,
     _check_same_n,
+    _qubits,
     anticommutation_masks,
     bits_product,
     bits_to_word,
@@ -86,8 +87,7 @@ class PauliSum:
     __hash__ = None
 
     def __init__(self, n: int, terms: Union[Mapping[str, complex], Iterable] = ()):
-        if n < 1:
-            raise ValueError("n must be positive")
+        n = _qubits(n)
         items = terms.items() if isinstance(terms, Mapping) else terms
         folded: dict[str, complex] = {}
         for word, coeff in items:
@@ -104,7 +104,7 @@ class PauliSum:
 
     @classmethod
     def zero(cls, n: int) -> "PauliSum":
-        return cls._from_dict(n, {})
+        return cls.from_bits(n, {})
 
     @classmethod
     def identity(cls, n: int, coeff: complex = 1.0) -> "PauliSum":
@@ -118,8 +118,7 @@ class PauliSum:
     @classmethod
     def from_bits(cls, n: int, terms: Mapping[tuple[int, int], complex]) -> "PauliSum":
         """Sum of {(x, z): coefficient} over word_to_bits pairs, checked and pruned like __init__."""
-        if n < 1:
-            raise ValueError("n must be positive")
+        n = _qubits(n)
         size = 2**n
         out = {(x, z): complex(c) for (x, z), c in terms.items()}
         for (x, z), c in out.items():
@@ -237,11 +236,20 @@ class PauliSum:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "PauliSum":
-        n = payload["n"]
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError(f"PauliSum n must be an integer, got {n!r}")
-        terms = [(t["word"], complex(t["re"], t.get("im", 0.0))) for t in payload["terms"]]
-        return cls(n, terms)
+        """The sum of a to_json_dict payload; ValueError for a malformed one.
+
+        re and im must be JSON numbers (int or float, not bool), as a
+        schedule's angles must.
+        """
+        try:
+            n = _qubits(payload["n"], "PauliSum n")
+            terms = [(t["word"], t["re"], t.get("im", 0.0)) for t in payload["terms"]]
+            for value in [v for _, re, im in terms for v in (re, im)]:
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"PauliSum coefficients must be JSON numbers, got {value!r}")
+            return cls(n, [(word, complex(re, im)) for word, re, im in terms])
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed PauliSum payload: {exc}") from exc
 
 
 def annihilation_operator(n: int, k: int) -> PauliSum:
@@ -311,8 +319,7 @@ def verify_car(n: int, *, inject_fault: bool = False) -> CarReport:
     inject_fault replaces the second chain operator with the identity
     word in a_0, a deliberate negative control that must produce failures.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _qubits(n)
     if n > MAX_CAR_MODES:
         raise ResourceLimitError(f"car at n={n} exceeds {MAX_CAR_MODES} modes")
     ops = [annihilation_operator(n, k) for k in range(n)]

@@ -20,10 +20,17 @@ Conventions:
   qubit, so the code of a product is the XOR of the factors' codes.
   word_to_bits, bits_to_word, word_code, code_to_word and code_to_bits
   are the only converters.
+
+Every layer reads its inputs through the rules defined here, the lowest
+layer that reads them: _integer for an integer argument, _qubits for a
+chain length n (an integer, at least 1) and _check_tolerance for a
+tolerance (positive and finite).  Each public entry that takes one
+applies its rule, so a bad n fails the same way everywhere.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -62,6 +69,38 @@ class PauliParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (position {position})")
         self.position = position
+
+
+def _integer(value, what: str) -> int:
+    """value as an int: an int or another integer type (numpy's), not a bool or a float.
+
+    Integer types are those with __index__; what names the value in the message.
+    """
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _qubits(n, what: str = "n") -> int:
+    """n as an int, a chain of at least one qubit; ValueError otherwise.
+
+    The one rule for a chain length; what names it in the message.
+    """
+    n = _integer(n, what)
+    if n < 1:
+        raise ValueError(f"{what} must be positive")
+    return n
+
+
+def _check_tolerance(tol, what: str = "tolerance") -> None:
+    """Refuse a tolerance that is not positive and finite; what names it in the message."""
+    if not 0 < tol < float("inf"):
+        raise ValueError(f"{what} must be positive and finite")
 
 
 def _check_same_n(a, b) -> None:
@@ -106,9 +145,7 @@ class PauliString:
     @classmethod
     def identity(cls, n: int) -> "PauliString":
         """The identity word I...I with phase +1."""
-        if n < 1:
-            raise ValueError("n must be positive")
-        return cls._make(n, 0, 0, 0)
+        return cls._make(_qubits(n), 0, 0, 0)
 
     @property
     def letters(self) -> str:
@@ -232,8 +269,7 @@ def parse_pauli(text: str, n: int) -> PauliString:
     Raises PauliParseError (with the failing character position) on bad
     input; round-trips with str(): parse_pauli(str(p), p.n) == p.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _qubits(n)
     pos = 0
     exp = 0
     if pos < len(text) and text[pos] in "+-":

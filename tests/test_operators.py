@@ -219,6 +219,30 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="integer"):
             PauliSum.from_json_dict(payload)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"n": 2, "terms": [{"word": "XY", "im": 0.0}]}, "malformed PauliSum payload: 're'"),
+            ({"n": 2, "terms": None}, "malformed PauliSum payload"),
+            ({"terms": []}, "malformed PauliSum payload: 'n'"),
+            ({"n": 2, "terms": ["XY"]}, "malformed PauliSum payload"),
+            ({"n": 2, "terms": [{"word": "XY", "re": "a"}]}, "coefficients must be JSON numbers, got 'a'"),
+            ({"n": 2, "terms": [{"word": "XY", "re": True}]}, "coefficients must be JSON numbers, got True"),
+            ({"n": 2, "terms": [{"word": "XY", "re": 1.0, "im": None}]}, "coefficients must be JSON numbers, got None"),
+            ({"n": 2, "terms": [{"word": 5, "re": 1.0}]}, "malformed PauliSum payload"),
+            ({"n": 2, "terms": [{"word": "XY", "re": 10**400}]}, "malformed PauliSum payload"),
+        ],
+        ids=["no-re", "null-terms", "no-n", "term-not-object", "text-re", "bool-re", "null-im",
+             "number-word", "huge-re"],
+    )
+    def test_malformed_json_raises_value_error(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            PauliSum.from_json_dict(payload)
+
+    def test_json_integer_coefficients_are_numbers(self):
+        payload = {"n": 1, "terms": [{"word": "X", "re": 1, "im": -2}]}
+        assert PauliSum.from_json_dict(payload) == PauliSum(1, {"X": 1 - 2j})
+
 
 class TestLadderOperators:
     def test_single_mode_forms(self):
