@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 from .pauli import (
     ResourceLimitError,
     _check_tolerance,
+    _integer,
     _qubits,
     anticommutation_masks,
     bits_product,
@@ -95,7 +96,7 @@ def classify_dimension(n: int, dim: int) -> str:
     anything else -> "other".  At n=1 the last two formulas tie at 3;
     "su(2^n)" wins there (the algebras coincide).
     """
-    n = _qubits(n)
+    n, dim = _qubits(n), _integer(dim, "dimension")
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
     if dim == 4**n - 1:

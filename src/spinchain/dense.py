@@ -11,8 +11,9 @@ in integers groups its pulses into windows of at most three adjacent
 qubits, each window's product is built in batched array steps from one
 read-only table of the 64 words of a three-qubit frame, and each window
 reaches U as one gate, one batched matmul.  A wider word W takes U to
-cos(t) U + i sin(t) W U in place, O(4^n), with each word's rows and row
-phases cached across calls by its bits.  exp_pulse on a word is the
+cos(t) U + i sin(t) W U in place, O(4^n), from W's rows and row phases,
+built once per call for each distinct word.  Every pulse, window or wide,
+puts its word's sign on its angle t.  exp_pulse on a word is the
 one-pulse schedule, and on a sum goes through eigh.  The rotation
 R[b][a] = Re trace(g_b U g_a U+) / 2^n over the frame words g_a,
 U g_a U+ = sum_b R[b][a] g_b, is a sum of products of row and column
@@ -48,11 +49,6 @@ N_MAX_PIPELINE = 8
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
-# Distinct words whose row actions _word_action keeps between calls.  An
-# entry holds at most 6 KB at n = 8 (2 KB of rows, 4 KB of row phases),
-# so the cache stays under 2 MB.
-_PULSE_ACTIONS = 256
-
 
 def _check_n(n: int) -> None:
     if n > N_MAX_PIPELINE:
@@ -73,26 +69,25 @@ def _sign_product(n: int, a: np.ndarray) -> np.ndarray:
     return ((1.0 - 2 * (_overlaps(n) & 1)) @ a.view(float)).view(complex)
 
 
-@functools.lru_cache(maxsize=_PULSE_ACTIONS)
 def _word_action(x: int, z: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row form of W(x, z): (W M)[r] = phase[r] M[r ^ x], phase[r] = i^(|x&z| + 2|(r^x)&z|).
+    """Row form of W(x, z): (W M)[r] = phase[r] M[r ^ x], phase[r] = i^(|x&z| + 2|(r^x)&z|).
 
-    No bus pulse reaches it: wide pulses read it, once per pulse, and
-    _window_blocks and _frame_words once per table.  Cached because the
-    lookup beats deriving it per pulse.  On schedules with half the
-    pulses drawn from the chirality, e_{2n-1}, e_{2n-3}, -Z^n and X...Y
-    and the rest from buses I-III (seed 1, medians of 60 warm calls, one
-    BLAS thread, 2-core host, three runs), cached against uncached:
-    419-515 against 555-665 us at n = 4 with 30 pulses, 2.43-2.52
-    against 2.90-3.10 ms at n = 4 with 200, and 5.7-6.2 against
-    6.5-8.6 ms at n = 8 with 30.
+    No bus pulse reaches it: _gate_plan builds it once per call for each
+    distinct wide word, and _window_blocks and _frame_words once per
+    cached table.  It is not cached across calls.  A build took 5.0-5.4
+    us at n = 4 and 6.6-7.0 us at n = 8, against 5 and 210 us for one
+    in-place pulse (best of 7, one BLAS thread, 2-core host).  On warm
+    schedules with half the pulses drawn from the chirality, e_{2n-1},
+    e_{2n-3}, -Z^n and X...Y and the rest from buses I-III (seven
+    alternating pairs against a cache across calls), the five builds
+    cost 18-85 us at n = 4 with 30 pulses (slower in 6 of 7 pairs); at
+    n = 4 with 200 and at n = 8 with 30 and 200 the two were within the
+    host's 30-70 % drift.  A cache bounded by entries would hold 24 MB
+    an entry at n = 20.
     """
     overlaps = _overlaps(n)
     rows = np.arange(2**n) ^ x
-    phase = _I_POWERS[(overlaps[x, z] + 2 * overlaps[rows, z]) & 3]
-    for table in (rows, phase):
-        table.flags.writeable = False
-    return rows, phase
+    return rows, _I_POWERS[(overlaps[x, z] + 2 * overlaps[rows, z]) & 3]
 
 
 def to_matrix(op: Union[str, PauliString, PauliSum], n: int | None = None) -> np.ndarray:
@@ -108,7 +103,7 @@ def to_matrix(op: Union[str, PauliString, PauliSum], n: int | None = None) -> np
         op = PauliSum.from_pauli(op)
     if not isinstance(op, PauliSum):
         raise TypeError(f"cannot build a matrix from {type(op).__name__}")
-    if n is not None and n != op.n:
+    if n is not None and _qubits(n) != op.n:
         raise ValueError(f"operator acts on {op.n} qubits, got n={n}")
     _check_n(op.n)
     terms = op.bit_items()
@@ -185,7 +180,7 @@ def _resolve_generator(gen: PulseGenerator, n: int | None) -> Union[GeneratorRef
     if isinstance(gen, PauliString):
         gen = GeneratorRef("raw", gen.n, raw=gen)
     if isinstance(gen, (GeneratorRef, PauliSum)):
-        if n is not None and gen.n != n:
+        if n is not None and _qubits(n) != gen.n:
             raise ValueError(f"generator acts on {gen.n} qubits, got n={n}")
         return gen
     raise TypeError(f"cannot interpret {type(gen).__name__} as a pulse generator")
@@ -243,13 +238,12 @@ def _window_blocks() -> np.ndarray:
     return blocks
 
 
-def _pulse_in_place(u: np.ndarray, wu: np.ndarray, word: PauliString, theta: float) -> None:
-    """Apply one pulse on a word to u in place; wu is scratch of u's shape."""
-    rows, phase = _word_action(word.x, word.z, word.n)
+def _pulse_in_place(u: np.ndarray, wu: np.ndarray, rows: np.ndarray, phase: np.ndarray, theta: float) -> None:
+    """Apply one pulse to u in place: a word's row form (rows, phase), its signed angle; wu is scratch."""
     # rows is a permutation; mode="clip" skips the bounds check and the
     # buffered copy the default mode makes for out= (3x faster at n = 8).
     np.take(u, rows, axis=0, out=wu, mode="clip")
-    wu *= math.sin(theta) * (1j * word.phase.real * phase[:, None])
+    wu *= math.sin(theta) * (1j * phase[:, None])
     u *= math.cos(theta)
     u += wu
 
@@ -304,13 +298,14 @@ def _plan(spans: list, n: int) -> list:
 
 
 def _gate_plan(pulses, n: int) -> list:
-    """_plan of the pulses with each window's gate appended and each wide pulse as (word, angle).
+    """_plan of the pulses with each window's gate appended and each wide pulse as (rows, phase, angle).
 
-    Each distinct generator is resolved once per call, and no numpy call
-    is made per pulse.  Windows go to _append_gates in batches of at most
-    _GATE_BATCH pulses, and a longer window is split into consecutive
-    windows on the same qubits, so the factor stack stays small whatever
-    the schedule's length.
+    Every angle is signed by its word.  Each distinct generator is
+    resolved, and each distinct wide word's row form built, once per
+    call, and no numpy call is made per pulse.  Windows go to
+    _append_gates in batches of at most _GATE_BATCH pulses, and a longer
+    window is split into consecutive windows on the same qubits, so the
+    factor stack stays small whatever the schedule's length.
     """
     refs = {}  # each distinct generator, hashed once per pulse
     word_of = [refs.setdefault(ref, len(refs)) for ref, _ in pulses]
@@ -321,10 +316,13 @@ def _gate_plan(pulses, n: int) -> list:
     angles = np.array([theta * signs[word] for (_, theta), word in zip(pulses, word_of)] + [0.0])
     word_bits = [(word.x, word.z) for word in words]
     bits = [word_bits[word] for word in word_of]
+    actions = {}  # each distinct wide word's (rows, phase), built on its first pulse
     plan, batch, count = [], [], 0
     for entry in _plan([spans[word] for word in word_of], n):
         if type(entry) is int:
-            plan.append((words[word_of[entry]], pulses[entry][1]))
+            if bits[entry] not in actions:
+                actions[bits[entry]] = _word_action(*bits[entry], n)
+            plan.append((*actions[bits[entry]], angles[entry]))
             continue
         for start in range(0, len(entry[2]), _GATE_BATCH):
             window = [entry[0], entry[1], entry[2][start:start + _GATE_BATCH]]
@@ -391,9 +389,9 @@ def run_schedule(schedule: PulseSchedule) -> np.ndarray:
     string, the chirality, wide literals, the identity word) takes U to
     cos(t) U + i sin(t) W U after the windows it overlaps, in place: W U
     is U with its rows permuted and scaled by W's phases (_word_action,
-    cached by the word's bits), so the pulse costs O(4^n) instead of an
-    O(8^n) matmul.  On
-    200-pulse schedules on buses I,II and I,II,III, seeds 1-3
+    built once per call for each distinct word), and W's sign goes on t
+    as in every window, so the pulse costs O(4^n) instead of an O(8^n)
+    matmul.  On 200-pulse schedules on buses I,II and I,II,III, seeds 1-3
     (BENCH_23.json, 2-core host, one BLAS thread, medians), that is
     18-28 passes over U at n = 6..8 against 93-112 with every pulse in
     place, and 1.1-1.6 / 2.2-2.7 / 5.3-7.4 ms at n = 6 / 7 / 8 against

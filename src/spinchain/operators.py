@@ -31,6 +31,7 @@ from .pauli import (
     PauliString,
     ResourceLimitError,
     _check_same_n,
+    _integer,
     _qubits,
     anticommutation_masks,
     bits_product,
@@ -254,6 +255,7 @@ class PauliSum:
 
 def annihilation_operator(n: int, k: int) -> PauliSum:
     """Mode-k annihilation operator (majorana(2k) + i*majorana(2k+1)) / 2."""
+    n, k = _qubits(n), _integer(k, "mode index")
     if not 0 <= k < n:
         raise ValueError(f"mode index {k} out of range for n={n}")
     even = majorana(n, 2 * k)

@@ -906,25 +906,31 @@ class TestPendingDiagonal:
 
     def test_equal_schedules_give_bit_identical_unitaries(self):
         for buses in (["I", "II"], ["I", "II", "III"]):
-            for cache in (dense._word_action, dense._window_blocks):
-                cache.cache_clear()
+            dense._window_blocks.cache_clear()
             cold = run_schedule(random_schedule(5, buses, 200, seed=16))
             payload = random_schedule(5, buses, 200, seed=16).to_json_dict()
             warm = run_schedule(PulseSchedule.from_json_dict(payload))
             assert np.array_equal(cold, warm)
 
-    def test_cached_actions_are_read_only(self):
-        for word in map(PauliString, ("ZIZ", "III", "XXI", "IYZ", "XIY")):
-            for table in dense._word_action(word.x, word.z, word.n):
-                with pytest.raises(ValueError, match="read-only"):
-                    table[0] = table[1]
-
-    def test_action_cache_stays_under_two_megabytes(self):
-        # The largest entry: a word with X and Z at the dense limit.
-        word = PauliString("Y" * N_MAX_PIPELINE)
-        rows, phase = dense._word_action(word.x, word.z, N_MAX_PIPELINE)
-        assert dense._word_action.cache_info().maxsize == dense._PULSE_ACTIONS
-        assert dense._PULSE_ACTIONS * (rows.nbytes + phase.nbytes) <= 2 * 2**20
+    def test_each_wide_word_action_is_built_once_per_call(self, monkeypatch):
+        # The per-n tables are warm, so every build counted here is a wide pulse's.
+        n = 6
+        dense._window_blocks()
+        dense._frame_words(n)
+        built = []
+        action = dense._word_action
+        monkeypatch.setattr(dense, "_word_action", lambda *key: built.append(key) or action(*key))
+        rng = random.Random(29)
+        local = [ref.label for ref in build_bus(n, "II").members]
+        words = []
+        # Three distinct wide words: the chirality is +-ZZZZZZ, so -ZZZZZZ shares its action.
+        for wide in ("e11", "chirality", "-ZZZZZZ", "XIIIIY") * 3:
+            words += [(rng.choice(local), rng.uniform(-3, 3)), (wide, rng.uniform(-3, 3))]
+        schedule = _words(n, words)
+        for _ in range(2):
+            built.clear()
+            assert np.max(np.abs(run_schedule(schedule) - _oracle_unitary(schedule))) < 1e-13
+            assert len(built) == 3
 
 
 @st.composite

@@ -11,12 +11,16 @@ from spinchain import (
     PauliSum,
     PulseSchedule,
     adjoint_rotation,
+    annihilation_operator,
+    bilinear,
     build_bus,
     check_universality,
     chirality,
     classify_dimension,
     closure_general,
     closure_strings,
+    creation_operator,
+    exp_pulse,
     frame_membership,
     gamma_frame,
     majorana,
@@ -27,6 +31,7 @@ from spinchain import (
     run_schedule,
     so_membership,
     third_order_gate,
+    to_matrix,
     verify_car,
 )
 
@@ -61,6 +66,8 @@ ENTRIES = {
     "random_schedule": lambda n: random_schedule(n, ["I", "II"], 5, seed=1),
     "adjoint_rotation": lambda n: adjoint_rotation(np.eye(4), n),
     "so_membership": lambda n: so_membership(np.eye(4), n),
+    "to_matrix": lambda n: to_matrix("XY", n),
+    "exp_pulse": lambda n: exp_pulse(PauliString("XY"), 0.1, n),
 }
 
 
@@ -85,6 +92,23 @@ def test_random_schedule_length_is_a_non_negative_integer(length):
 
 def test_random_schedule_takes_a_numpy_integer_length():
     assert len(random_schedule(2, ["I"], np.int64(3), seed=1).pulses) == 3
+
+
+# Each public entry that reads a mode index or a dimension, called with it as that value.
+INDEXED = {
+    "annihilation_operator": lambda k: annihilation_operator(2, k),
+    "creation_operator": lambda k: creation_operator(2, k),
+    "bilinear": lambda j: bilinear(2, j, 0, "hopping"),
+    "classify_dimension": lambda dim: classify_dimension(1, dim),  # so(2) has dimension 1
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INDEXED))
+def test_every_index_is_an_integer(entry):
+    for value in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            INDEXED[entry](value)
+    assert INDEXED[entry](np.int64(1)) == INDEXED[entry](1)
 
 
 TOLERANT = {
