@@ -62,6 +62,9 @@ class ClosureReport:
     closure covers, dimension times the number of generators, of which
     only the anticommuting ones are bracketed (a commuting pair brackets
     to 0).  Both are fully determined by the input set.
+
+    A frozen dataclass, unlike the library values (pauli._Value): callers
+    derive variants of a report with dataclasses.replace.
     """
 
     n: int

@@ -32,13 +32,13 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 from operator import mul
 from typing import Sequence
 
 from .generators import GeneratorRef, _frame_bits, build_bus, parse_generator
-from .pauli import PauliString, ResourceLimitError, _check_tolerance, _integer, _qubits, bits_product
+from .pauli import (PauliString, ResourceLimitError, _check_tolerance, _integer, _qubits, _Value,
+                    bits_product)
 
 # Longest schedule accepted; each pulse costs O(4^n) in dense, O(n) here.
 MAX_SCHEDULE_PULSES = 10**5
@@ -84,29 +84,28 @@ def _check_schedule_length(length: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class PulseSchedule:
+class PulseSchedule(_Value):
     """Ordered pulses (generator reference, angle) on an n-qubit chain.
 
     List order is time order: the first pulse acts first, so the
     composed unitary is exp(i t_m G_m) ... exp(i t_1 G_1).
     """
 
-    n: int
-    pulses: tuple[tuple[GeneratorRef, float], ...]
+    _fields = ("n", "pulses")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _qubits(self.n, "schedule n"))
-        object.__setattr__(self, "pulses", tuple((ref, theta) for ref, theta in self.pulses))
-        _check_schedule_length(len(self.pulses))
-        for index, (ref, theta) in enumerate(self.pulses):
+    def __init__(self, n: int, pulses: Sequence[tuple[GeneratorRef, float]]):
+        n = _qubits(n, "schedule n")
+        pulses = tuple((ref, theta) for ref, theta in pulses)
+        _check_schedule_length(len(pulses))
+        for index, (ref, theta) in enumerate(pulses):
             if not isinstance(ref, GeneratorRef):
                 raise TypeError(
                     f"pulse {index} generator must be a GeneratorRef, got {type(ref).__name__}"
                 )
-            if ref.n != self.n:
-                raise ValueError(f"pulse generator is for n={ref.n}, schedule has n={self.n}")
+            if ref.n != n:
+                raise ValueError(f"pulse generator is for n={ref.n}, schedule has n={n}")
             _check_angle(theta, f"pulse {index}")
+        self.__dict__.update(n=n, pulses=pulses)
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,8 +147,7 @@ def random_schedule(
     return PulseSchedule(n=n, pulses=pulses)
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(_Value):
     """Verdict of the rotation-group membership test.
 
     residual is the largest Pauli coefficient of any conjugated frame
@@ -160,15 +158,19 @@ class MembershipResult:
     the verdict compares to tol.  unitarity is max |U U+ - I| of the U
     that so_membership reads, its input check's unitarity_residual.
     frame_membership composes no U: its residual is 0 by construction,
-    and its unitarity is the orthogonality of the composed R.
+    and its unitarity is the orthogonality of the composed R.  Equality,
+    the hash and the repr read member and residual only.
     """
 
-    member: bool
-    residual: float
-    rotation: object | None = field(default=None, compare=False, repr=False)
-    orthogonality: float | None = field(default=None, compare=False, repr=False)
-    det_deviation: float | None = field(default=None, compare=False, repr=False)
-    unitarity: float | None = field(default=None, compare=False, repr=False)
+    _fields = ("member", "residual", "rotation", "orthogonality", "det_deviation", "unitarity")
+    _compared = 2
+
+    def __init__(self, member: bool, residual: float, rotation: object | None = None,
+                 orthogonality: float | None = None, det_deviation: float | None = None,
+                 unitarity: float | None = None):
+        self.__dict__.update(member=member, residual=residual, rotation=rotation,
+                             orthogonality=orthogonality, det_deviation=det_deviation,
+                             unitarity=unitarity)
 
 
 def _pulse_word(ref: GeneratorRef) -> PauliString:

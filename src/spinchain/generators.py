@@ -28,10 +28,9 @@ All constructors return Hermitian strings with phase +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .pauli import PauliParseError, PauliString, _integer, _qubits, parse_pauli
+from .pauli import PauliParseError, PauliString, _integer, _qubits, _Value, parse_pauli
 
 BUS_IDS = ("I", "II", "III")
 
@@ -160,8 +159,7 @@ def subset_product(n: int, indices) -> PauliString:
     return prod
 
 
-@dataclass(frozen=True)
-class GeneratorRef:
+class GeneratorRef(_Value):
     """Symbolic reference to a named generator on an n-qubit chain.
 
     kind is one of "e" (chain operator, needs index), "d" (adjacent
@@ -169,24 +167,30 @@ class GeneratorRef:
     explicit PauliString, which no other kind takes).  The text form
     matches the CLI grammar: "e0", "d3", "third", "chirality", or a Pauli
     literal like "XY".
+
+    The hash is computed once, here: schedules look every pulse's
+    reference up.  It stays out of copies and pickles, which hold only
+    the four fields, because a str hash differs from process to process.
     """
 
-    kind: str
-    n: int
-    index: Optional[int] = None
-    raw: Optional[PauliString] = None
+    _fields = ("kind", "n", "index", "raw")
 
-    def __post_init__(self):
-        n, index = _checked(self.kind, self.n, self.index)
-        if self.kind == "raw":
-            if not isinstance(self.raw, PauliString):
-                raise ValueError(f"raw reference needs a PauliString, got {self.raw!r}")
-            if self.raw.n != n:
-                raise ValueError(f"raw string acts on {self.raw.n} qubits, expected {n}")
-        elif self.raw is not None:
+    def __init__(self, kind: str, n: int, index: Optional[int] = None,
+                 raw: Optional[PauliString] = None):
+        n, index = _checked(kind, n, index)
+        if kind == "raw":
+            if not isinstance(raw, PauliString):
+                raise ValueError(f"raw reference needs a PauliString, got {raw!r}")
+            if raw.n != n:
+                raise ValueError(f"raw string acts on {raw.n} qubits, expected {n}")
+        elif raw is not None:
             # The label would drop it, as it would a stray index.
-            raise ValueError(f"kind {self.kind!r} takes no raw string, got {self.raw!r}")
-        self.__dict__.update(n=n, index=index)  # a numpy integer is stored as int
+            raise ValueError(f"kind {kind!r} takes no raw string, got {raw!r}")
+        # a numpy integer is stored as int
+        self.__dict__.update(kind=kind, n=n, index=index, raw=raw, _hash=hash((kind, n, index, raw)))
+
+    def __hash__(self):
+        return self._hash
 
     def resolve(self) -> PauliString:
         """The concrete PauliString this reference names."""
@@ -218,8 +222,7 @@ def parse_generator(text: str, n: int) -> GeneratorRef:
     return GeneratorRef("raw", n, raw=raw)
 
 
-@dataclass(frozen=True)
-class GateBus:
+class GateBus(_Value):
     """One of the three control buses.
 
     Bus I: the n single-qubit Z gates (even bilinears).
@@ -228,9 +231,10 @@ class GateBus:
     Bus III: the single third-order Y gate on qubit 1.
     """
 
-    bus_id: str
-    n: int
-    members: tuple[GeneratorRef, ...]
+    _fields = ("bus_id", "n", "members")
+
+    def __init__(self, bus_id: str, n: int, members: tuple[GeneratorRef, ...]):
+        self.__dict__.update(bus_id=bus_id, n=n, members=members)
 
     def words(self) -> list[str]:
         return [ref.resolve().letters for ref in self.members]

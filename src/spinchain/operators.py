@@ -30,6 +30,7 @@ from .generators import majorana
 from .pauli import (
     PauliString,
     ResourceLimitError,
+    _Value,
     _check_same_n,
     _integer,
     _qubits,
@@ -66,8 +67,7 @@ def _term_product(a: Iterable, b: Iterable, weights: tuple[complex, ...]) -> dic
     return out
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class PauliSum:
+class PauliSum(_Value):
     """Finite complex-linear combination of phase-free Pauli words.
 
     Coefficients with magnitude below PRUNE_TOLERANCE are dropped on
@@ -79,12 +79,11 @@ class PauliSum:
     Use ``+``/``-`` for linear combination, ``*`` for scalars, ``@`` for
     the operator product.  Iteration and serialization order is
     lexicographic in the word string, whatever the order of the bits.
-    A frozen dataclass: sums compare by (n, terms), copy and pickle, and
-    are unhashable: their terms are a dict.
+    A library value (pauli._Value): sums compare by (n, terms), copy and
+    pickle, and are unhashable: their terms are a dict.
     """
 
-    n: int
-    _terms: dict[tuple[int, int], complex]
+    _fields = ("n", "_terms")
     __hash__ = None
 
     def __init__(self, n: int, terms: Union[Mapping[str, complex], Iterable] = ()):
@@ -102,6 +101,9 @@ class PauliSum:
         obj = object.__new__(cls)
         obj.__dict__.update(n=n, _terms={k: c for k, c in terms.items() if abs(c) >= PRUNE_TOLERANCE})
         return obj
+
+    def __reduce__(self):
+        return PauliSum._from_dict, (self.n, self._terms)
 
     @classmethod
     def zero(cls, n: int) -> "PauliSum":
@@ -276,6 +278,9 @@ class CarReport:
     whose anticommutator misses its target; deviation is the largest
     coefficient magnitude of the difference.  All relation coefficients
     are dyadic, so a correct chain yields max_deviation exactly 0.
+
+    A frozen dataclass, unlike the library values (pauli._Value): callers
+    derive variants of a report with dataclasses.replace.
     """
 
     n: int

@@ -31,7 +31,6 @@ applies its rule, so a bad n fails the same way everywhere.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 PAULI_LETTERS = "IXYZ"
@@ -109,8 +108,59 @@ def _check_same_n(a, b) -> None:
         raise DimensionMismatchError(f"qubit counts differ: {a.n} vs {b.n}")
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class PauliString:
+# The equality and hash of a _Value, compiled for each class over its
+# compared fields as a dataclass compiles them: attributes read by name
+# cost half of what operator.attrgetter takes.
+_VALUE_METHODS = """
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine}) == ({theirs})
+    return NotImplemented
+
+def __hash__(self):
+    return hash(({mine}))
+"""
+
+
+class _Value:
+    """Base of the library's immutable values, in place of a frozen dataclass.
+
+    A subclass names its fields in _fields, in its constructor's order,
+    and stores them in its __dict__.  Equality, the hash and the repr read
+    the first _compared of them (all by default); the rest ride along.  A
+    subclass may set its own __hash__.  Fields are read-only, and a value
+    copies and pickles as a call of its constructor on its fields.
+    dataclasses is not used: importing it imports inspect, about 10 ms of
+    a one-shot command on a 2-core x86_64 host.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _compared: Optional[int] = None
+
+    def __init_subclass__(cls):
+        compared = cls._fields[:cls._compared]
+        namespace = {}
+        exec(_VALUE_METHODS.format(mine="".join(f"self.{name}, " for name in compared),
+                                   theirs="".join(f"other.{name}, " for name in compared)), namespace)
+        for name, method in namespace.items():
+            if name not in cls.__dict__:
+                setattr(cls, name, method)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields[:self._compared])
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+class PauliString(_Value):
     """An n-qubit Pauli word with a tracked unit phase.
 
     Attributes:
@@ -118,15 +168,13 @@ class PauliString:
         x, z: the word's symplectic bits (word_to_bits), qubit 0 the top bit.
         phase_exp: integer 0..3, the power of i giving the global phase.
 
-    letters is derived from the bits.  A frozen dataclass: equality and the
-    hash are those of (n, x, z, phase_exp), and instances copy and pickle.
-    The represented operator is Hermitian exactly when the phase is +1 or -1.
+    letters is derived from the bits.  A library value (_Value): equality
+    and the hash are those of (n, x, z, phase_exp), and instances copy and
+    pickle.  The represented operator is Hermitian exactly when the phase
+    is +1 or -1.
     """
 
-    n: int
-    x: int
-    z: int
-    phase_exp: int
+    _fields = ("n", "x", "z", "phase_exp")
 
     def __init__(self, letters: str, phase: complex = 1):
         x, z = word_to_bits(letters)  # raises ValueError unless letters is a word over IXYZ
@@ -141,6 +189,9 @@ class PauliString:
         obj = object.__new__(cls)
         obj.__dict__.update(n=n, x=x, z=z, phase_exp=phase_exp & 3)
         return obj
+
+    def __reduce__(self):
+        return PauliString._make, (self.n, self.x, self.z, self.phase_exp)
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":

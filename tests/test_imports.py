@@ -1,14 +1,17 @@
 """Import guards: `import spinchain` executes no layer, each CLI command
-executes only the layers it reads, and the exact-algebra commands start
-without numpy.
+executes only the layers it reads, the exact-algebra commands start
+without numpy, and `gen` and the rotation-picture schedules start without
+dataclasses or inspect.
 
 Each public name is imported from its layer on its first read; `cli`
 registers every layer to execute on its first attribute read.  numpy is
 imported by `dense` and inside `closure_general` only.  A `schedule` of
 frame bilinears is read in the rotation picture (`frame`) and starts
-without numpy too; any other schedule is composed by `dense`.  pytest
-has imported the package and numpy already, so each guard runs in a
-fresh interpreter.
+without numpy too; any other schedule is composed by `dense`.  The
+library values are no dataclasses; only the closure and CAR reports are,
+so only `closure` and `operators` import dataclasses (and with it
+inspect).  pytest has imported the package and numpy already, so each
+guard runs in a fresh interpreter.
 """
 
 import os
@@ -30,13 +33,13 @@ DENSE_NAMES = (
 )
 
 # Runs cli.main on argv with stdout discarded, then prints the exit code
-# and whether numpy was imported.
+# and whether numpy, dataclasses and inspect were imported.
 CLI_PROBE = """
 import contextlib, io, sys
 from spinchain.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, *(name in sys.modules for name in ("numpy", "dataclasses", "inspect")))
 """
 
 
@@ -77,12 +80,32 @@ def fresh(code, *argv):
     (["schedule", "--random", "200", "--n", "64", "--bus", "I,II", "--seed", "1"], 0),
 ])
 def test_algebra_commands_do_not_import_numpy(argv, code):
-    assert fresh(CLI_PROBE, *argv) == [str(code), "False"]
+    assert fresh(CLI_PROBE, *argv)[:2] == [str(code), "False"]
 
 
 def test_schedule_imports_numpy():
     argv = ["schedule", "--random", "5", "--n", "2", "--bus", "III", "--seed", "1"]
-    assert fresh(CLI_PROBE, *argv) == ["0", "True"]
+    assert fresh(CLI_PROBE, *argv)[:2] == ["0", "True"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "e", "--n", "4", "--k", "3"],
+    ["gen", "d", "--n", "4", "--k", "2"],
+    ["gen", "third", "--n", "3"],
+    ["gen", "chirality", "--n", "3"],
+    ["gen", "bus", "--n", "3", "--id", "I"],
+    ["gen", "bus", "--n", "3", "--id", "II"],
+    ["gen", "bus", "--n", "3", "--id", "III"],
+    ["schedule", "--random", "20", "--n", "4", "--bus", "I,II", "--seed", "1"],
+    ["schedule", str(FRAME_SCHEDULE)],
+])
+def test_gen_and_frame_schedules_do_not_import_dataclasses(argv):
+    assert fresh(CLI_PROBE, *argv) == ["0", "False", "False", "False"]
+
+
+def test_reports_import_dataclasses():
+    # ClosureReport and CarReport stay dataclasses; the guard above is not vacuous.
+    assert fresh(CLI_PROBE, "car", "--n", "4")[2:] == ["True", "True"]
 
 
 def test_bare_import_executes_no_layer():
