@@ -172,7 +172,7 @@ def _load_schedule(args) -> frame.PulseSchedule:
     with open(args.file, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     schedule = frame.PulseSchedule.from_json_dict(payload)
-    # frame_membership builds every pulse word, n letters each, before its own limit check.
+    # frame_membership builds every pulse word, an n-bit (x, z) pair, before its own limit check.
     _check_readable(schedule.n, all(ref.kind in ("e", "d") for ref, _ in schedule.pulses))
     return schedule
 

@@ -13,7 +13,9 @@ read-only table of the 64 words of a three-qubit frame, and each window
 reaches U as one gate, one batched matmul.  A wider word W takes U to
 cos(t) U + i sin(t) W U in place, O(4^n), from W's rows and row phases,
 built once per call for each distinct word.  Every pulse, window or wide,
-puts its word's sign on its angle t.  exp_pulse on a word is the
+puts its word's sign on its angle t.  _apply(plan, block) is the one
+pulse loop: it applies a plan to any (2^n, m) block of columns, and
+run_schedule is _apply on the identity.  exp_pulse on a word is the
 one-pulse schedule, and on a sum goes through eigh.  The rotation
 R[b][a] = Re trace(g_b U g_a U+) / 2^n over the frame words g_a,
 U g_a U+ = sum_b R[b][a] g_b, is a sum of products of row and column
@@ -399,18 +401,34 @@ def run_schedule(schedule: PulseSchedule) -> np.ndarray:
     at n = 2..5 the same schedules took 0.31-1.24 ms against
     0.92-2.11 ms with every pulse in place (medians of 40 calls).
     Windows of four qubits were 10-70 % slower at n = 5..8: their
-    32 x 32 tree products cost more than the passes they save.
+    32 x 32 tree products cost more than the passes they save.  The
+    loop over the plan is _apply, this picture's one composer: U is the
+    plan applied to the identity, and the same call takes any block of
+    columns.
     """
     _check_n(schedule.n)
-    u = np.eye(2**schedule.n, dtype=complex)
+    return _apply(_gate_plan(schedule.pulses, schedule.n), np.eye(2**schedule.n, dtype=complex))
+
+
+def _apply(plan: list, block: np.ndarray) -> np.ndarray:
+    """The product of a _gate_plan applied to a (2^n, m) block: this picture's one pulse loop.
+
+    Each window's gate is one batched matmul over the block, and each
+    wide pulse goes through _pulse_in_place.  Any m works, a state being
+    m = 1.  A C-contiguous complex block is used as it is and
+    overwritten; any other (Fortran-ordered, strided or real) is copied
+    first, since reshape must be a view for the matmul to write where
+    the next step reads.
+    """
+    u = np.ascontiguousarray(block, dtype=complex)
     scratch = np.empty_like(u)
-    for entry in _gate_plan(schedule.pulses, schedule.n):
+    for entry in plan:
         if type(entry) is tuple:
             _pulse_in_place(u, scratch, *entry)
             continue
         top, width, _, gate = entry
         step = 2 ** (_GATE_QUBITS - width)
-        shape = (2**top, 2**width, -1)  # the gate on the qubits from top on, one pass over U
+        shape = (2**top, 2**width, -1)  # the gate on the qubits from top on, one pass over the block
         np.matmul(gate[::step, ::step], u.reshape(shape), out=scratch.reshape(shape))
         u, scratch = scratch, u
     return u

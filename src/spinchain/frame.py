@@ -16,8 +16,11 @@ so a schedule of such pulses is a product of plane rotations: R takes
 them in time order as R <- G_ab(2t) R, two rows of R per pulse, O(n),
 with no 2^n matrix and no leak out of the frame's span.  This is the
 matchgate <-> rotation correspondence (Jozsa & Miyake, arXiv:0804.4050).
-frame_membership reads a schedule this way, and returns None when some
-pulse is no frame bilinear; dense composes those into a 2^n unitary.
+_planes resolves each distinct pulse to its plane, or returns None when
+some pulse is no frame bilinear; dense composes those into a 2^n
+unitary.  _rotate(pulses, planes, rows) is the one pulse loop: it applies
+the plane rotations to any rows, and frame_membership's R is _rotate on
+the identity.
 
 The schedule value and its checks live here, not in dense, so that the
 rotation picture runs without numpy; dense re-exports them.  A schedule's
@@ -255,36 +258,60 @@ def _det(rows: Sequence[Sequence[float]]) -> float:
     return det
 
 
+def _planes(pulses) -> dict | None:
+    """{ref: (a, b, s)} for each distinct pulse generator, or None at the first that is no frame bilinear.
+
+    The words after that one are not resolved: a non-Hermitian word
+    later in the schedule is left to dense, which refuses it through the
+    same _pulse_word.
+    """
+    planes = {}
+    for ref, _ in pulses:
+        if ref not in planes:
+            planes[ref] = _frame_plane(_pulse_word(ref))
+            if planes[ref] is None:
+                return None
+    return planes
+
+
+def _rotate(pulses, planes: dict, rows: list) -> list:
+    """Apply each pulse's G_ab(2t), in time order, to the rows of a (2n+1) x m matrix M.
+
+    rows is M's list of 2n+1 rows and becomes G_m ... G_1 M; each pulse
+    replaces rows a and b, O(m).  This picture's one pulse loop: R is
+    _rotate on the identity's rows, and a column vector has rows of one
+    entry.
+    """
+    for ref, theta in pulses:
+        a, b, s = planes[ref]
+        cos, sin = math.cos(2 * theta), s * math.sin(2 * theta)
+        ra, rb = rows[a], rows[b]
+        rows[a] = [cos * u - sin * v for u, v in zip(ra, rb)]
+        rows[b] = [sin * u + cos * v for u, v in zip(ra, rb)]
+    return rows
+
+
 def frame_membership(schedule: PulseSchedule, tol: float = 1e-8) -> MembershipResult | None:
     """The membership verdict and R of a schedule of frame bilinears, or None.
 
     None when some pulse is no frame bilinear (bus III's third, the
     chirality, a single frame word): those schedules need dense's 2^n
-    unitary.  Otherwise R is composed one plane rotation per pulse, O(n)
-    each, as the module docstring sets out; nothing leaks (residual 0),
-    and member holds iff max |R^T R - I| and |det R - 1| are within tol.
+    unitary.  Otherwise R is _rotate, this picture's one composer, on the
+    identity's rows: one plane rotation per pulse, O(n) each, as the
+    module docstring sets out.  Nothing leaks (residual 0), and member
+    holds iff max |R^T R - I| and |det R - 1| are within tol.
     unitarity reports the same max |R^T R - I|, since no U is built.
     Raises ResourceLimitError past MAX_FRAME_QUBITS, before R is built,
     and ValueError for a tol that is not positive and finite or a pulse
     word that is not Hermitian.
     """
     _check_tolerance(tol)
-    planes = {}
-    for ref, _ in schedule.pulses:
-        if ref not in planes:
-            planes[ref] = _frame_plane(_pulse_word(ref))
-            if planes[ref] is None:
-                return None
-    n = schedule.n
-    _check_frame_qubits(n)
-    size = 2 * n + 1
-    r = [[float(i == j) for j in range(size)] for i in range(size)]
-    for ref, theta in schedule.pulses:
-        a, b, s = planes[ref]
-        cos, sin = math.cos(2 * theta), s * math.sin(2 * theta)
-        ra, rb = r[a], r[b]
-        r[a] = [cos * u - sin * v for u, v in zip(ra, rb)]
-        r[b] = [sin * u + cos * v for u, v in zip(ra, rb)]
+    planes = _planes(schedule.pulses)
+    if planes is None:
+        return None
+    _check_frame_qubits(schedule.n)
+    size = 2 * schedule.n + 1
+    r = _rotate(schedule.pulses, planes, [[float(i == j) for j in range(size)] for i in range(size)])
     ortho = _orthogonality(r)
     det_dev = abs(_det(r) - 1.0)
     return MembershipResult(member=ortho <= tol and det_dev <= tol, residual=0.0, rotation=r,

@@ -652,12 +652,58 @@ def test_run_schedule_matches_matmul_composition(schedule):
     assert np.max(np.abs(run_schedule(schedule) - want)) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(mixed_schedules(), st.sampled_from([1, 3]))
+def test_apply_to_columns_matches_run_schedule(schedule, m):
+    m = min(m, 2**schedule.n)
+    plan = dense._gate_plan(schedule.pulses, schedule.n)
+    got = dense._apply(plan, np.eye(2**schedule.n, m, dtype=complex))
+    assert got.shape == (2**schedule.n, m)
+    assert np.max(np.abs(got - run_schedule(schedule)[:, :m])) < 1e-14
+
+
+class TestApplyBlocks:
+    """_apply takes any block as a C-contiguous complex array: another layout is copied, not misread."""
+
+    N = 4
+
+    @pytest.fixture(scope="class")
+    def schedule(self):
+        drawn = random_schedule(self.N, ["I", "II", "III"], 60, seed=3)
+        wide = [("chirality", 0.3), ("e7", 0.5), ("-ZZZZ", 0.2)]
+        return _words(self.N, [(ref.label, t) for ref, t in drawn.pulses] + wide)
+
+    def _apply(self, schedule, block):
+        plan = dense._gate_plan(schedule.pulses, self.N)
+        assert any(type(entry) is tuple for entry in plan) and any(type(entry) is list for entry in plan)
+        return dense._apply(plan, block)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "float"])
+    def test_block_layouts(self, schedule, layout):
+        u = run_schedule(schedule)
+        side = 2**self.N
+        block, want = {
+            "fortran": (np.asfortranarray(np.eye(side, 3, dtype=complex)), u[:, :3]),
+            "strided": (np.eye(side, 6, dtype=complex)[:, ::2], u[:, [0, 2, 4]]),
+            "float": (np.eye(side, 3), u[:, :3]),
+        }[layout]
+        before = block.copy()
+        assert np.max(np.abs(self._apply(schedule, block) - want)) < 1e-14
+        assert np.array_equal(block, before)  # a copied block is left as it was
+
+    def test_random_block(self, schedule):
+        rng = np.random.default_rng(4)
+        block = rng.normal(size=(2**self.N, 5)) + 1j * rng.normal(size=(2**self.N, 5))
+        want = run_schedule(schedule) @ block
+        assert np.max(np.abs(self._apply(schedule, block.copy()) - want)) < 1e-13
+
+
 def test_non_hermitian_raw_pulse_raises_like_exp_pulse():
     ref = GeneratorRef("raw", 2, raw=PauliString("ZX", 1j))
     with pytest.raises(ValueError, match="not Hermitian") as from_pulse:
         exp_pulse(ref, 0.3)
     schedule = PulseSchedule(n=2, pulses=((GeneratorRef("e", 2, index=0), 0.1), (ref, 0.3)))
-    # The pulse actions are cached across calls; a failed one must fail again.
+    # No call keeps state: a failed call fails the same way again.
     for _ in range(2):
         with pytest.raises(ValueError, match="not Hermitian") as from_schedule:
             run_schedule(schedule)

@@ -171,6 +171,15 @@ class TestBudget:
         assert frame_membership(random_schedule(128, ["I", "II"], 50, seed=1)).member
 
 
+@pytest.mark.parametrize("n", [2, 8, 64, 128])
+def test_rotate_one_column_is_a_column_of_r(n):
+    """_rotate on e_2n alone takes each entry through R's float operations: an exact column of R."""
+    schedule = random_schedule(n, ["I", "II"], 200, seed=n)
+    column = [[float(i == 2 * n)] for i in range(2 * n + 1)]
+    got = frame._rotate(schedule.pulses, frame._planes(schedule.pulses), column)
+    assert [row[0] for row in got] == [row[2 * n] for row in frame_membership(schedule).rotation]
+
+
 def _random_matrix(rng, m, sparsity):
     return [[rng.gauss(0, 1) if rng.random() >= sparsity else 0.0 for _ in range(m)]
             for _ in range(m)]
