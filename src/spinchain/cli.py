@@ -170,7 +170,10 @@ def _load_schedule(args) -> frame.PulseSchedule:
     if not args.file:
         raise ValueError("give a schedule file, or --random with --n/--bus/--seed")
     with open(args.file, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError:  # json recurses once per level of nesting
+            raise ValueError(f"schedule file {args.file} is nested too deeply") from None
     schedule = frame.PulseSchedule.from_json_dict(payload)
     # frame_membership builds every pulse word, an n-bit (x, z) pair, before its own limit check.
     _check_readable(schedule.n, all(ref.kind in ("e", "d") for ref, _ in schedule.pulses))

@@ -132,13 +132,19 @@ class PulseSchedule(_Value):
 
 
 def random_schedule(
-    n: int, bus_ids: Sequence[str], length: int, seed: int
+    n: int, bus_ids: list[str] | tuple[str, ...], length: int, seed: int
 ) -> PulseSchedule:
-    """Seeded uniform schedule over the members of the given buses."""
+    """Seeded uniform schedule over the members of the given buses.
+
+    bus_ids is a list or tuple of bus ids, such as ["I", "II"]; the members
+    are drawn from in its order, so a seed names one schedule.
+    """
     length = _integer(length, "schedule length")
     if length < 0:
         raise ValueError(f"schedule length must be non-negative, got {length}")
     _check_schedule_length(length)
+    if not isinstance(bus_ids, (list, tuple)) or not all(isinstance(b, str) for b in bus_ids):
+        raise ValueError(f"bus ids must be a list of strings such as ['I', 'II'], got {bus_ids!r}")
     refs = [ref for bus_id in bus_ids for ref in build_bus(n, bus_id).members]
     if not refs:
         raise ValueError("no generators to draw from")

@@ -108,26 +108,14 @@ def _check_same_n(a, b) -> None:
         raise DimensionMismatchError(f"qubit counts differ: {a.n} vs {b.n}")
 
 
-# The equality and hash of a _Value, compiled for each class over its
-# compared fields as a dataclass compiles them: attributes read by name
-# cost half of what operator.attrgetter takes.
-_VALUE_METHODS = """
-def __eq__(self, other):
-    if other.__class__ is self.__class__:
-        return ({mine}) == ({theirs})
-    return NotImplemented
-
-def __hash__(self):
-    return hash(({mine}))
-"""
-
-
 class _Value:
     """Base of the library's immutable values, in place of a frozen dataclass.
 
     A subclass names its fields in _fields, in its constructor's order,
     and stores them in its __dict__.  Equality, the hash and the repr read
-    the first _compared of them (all by default); the rest ride along.  A
+    the first _compared of them (all by default); the rest ride along.
+    Two values are equal when they have the same class and equal tuples
+    of compared fields, and the hash is the hash of that tuple.  A
     subclass may set its own __hash__.  Fields are read-only, and a value
     copies and pickles as a call of its constructor on its fields.
     dataclasses is not used: importing it imports inspect, about 10 ms of
@@ -137,14 +125,14 @@ class _Value:
     _fields: tuple[str, ...] = ()
     _compared: Optional[int] = None
 
-    def __init_subclass__(cls):
-        compared = cls._fields[:cls._compared]
-        namespace = {}
-        exec(_VALUE_METHODS.format(mine="".join(f"self.{name}, " for name in compared),
-                                   theirs="".join(f"other.{name}, " for name in compared)), namespace)
-        for name, method in namespace.items():
-            if name not in cls.__dict__:
-                setattr(cls, name, method)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self._fields[:self._compared]
+        return tuple(getattr(self, name) for name in names) == tuple(getattr(other, name) for name in names)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in self._fields[:self._compared]))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -200,6 +200,15 @@ class TestSchedule:
         code, _, _ = run_cli(capsys, "schedule", "/nonexistent/schedule.json")
         assert code == 2
 
+    def test_deeply_nested_file_exits_two(self, capsys, tmp_path):
+        # json.load raises RecursionError, which is no ValueError.
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, "schedule", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "nested too deeply" in err
+
     def test_random_requires_seed(self, capsys):
         code, _, err = run_cli(capsys, "schedule", "--random", "5", "--bus", "I", "--n", "2")
         assert code == 2

@@ -94,6 +94,21 @@ def test_random_schedule_takes_a_numpy_integer_length():
     assert len(random_schedule(2, ["I"], np.int64(3), seed=1).pulses) == 3
 
 
+# A string would be read letter by letter ("III" as bus I three times), a set
+# in an order that follows the string hash.
+@pytest.mark.parametrize("bus_ids", ["III", {"I", "II"}, frozenset({"I"}), ["I", 2], None],
+                         ids=["string", "set", "frozenset", "non-string id", "none"])
+def test_random_schedule_takes_bus_ids_as_a_list(bus_ids):
+    with pytest.raises(ValueError, match=r"list of strings such as \['I', 'II'\]"):
+        random_schedule(3, bus_ids, 6, seed=1)
+
+
+def test_random_schedule_draws_from_the_listed_buses_in_order():
+    assert [ref.kind for ref, _ in random_schedule(3, ["III"], 6, seed=1).pulses] == ["third"] * 6
+    assert random_schedule(3, ("I", "II"), 6, seed=1) == random_schedule(3, ["I", "II"], 6, seed=1)
+    assert random_schedule(3, ["I", "II"], 6, seed=1) != random_schedule(3, ["II", "I"], 6, seed=1)
+
+
 # Each public entry that reads a mode index or a dimension, called with it as that value.
 INDEXED = {
     "annihilation_operator": lambda k: annihilation_operator(2, k),

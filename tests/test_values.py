@@ -29,6 +29,7 @@ from spinchain import (
     build_bus,
     parse_generator,
 )
+from spinchain.pauli import _Value
 
 SRC = pathlib.Path(spinchain.__file__).resolve().parents[1]
 PHASES = (1, 1j, -1, -1j)
@@ -136,6 +137,18 @@ def test_values_of_another_type_are_not_equal():
     assert p != GeneratorRef("raw", 2, raw=p)
     assert p != (p.n, p.x, p.z, p.phase_exp)
     assert PauliSum(2, {"XY": 1.0}) != p
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
+def test_values_share_the_base_equality_and_hash(cls):
+    # One __eq__ and one __hash__ for all; only the two hash overrides differ.
+    assert cls.__eq__ is _Value.__eq__
+    if cls is PauliSum:
+        assert cls.__hash__ is None
+    elif cls is GeneratorRef:  # its hash is stored at construction
+        assert cls.__hash__ is not _Value.__hash__
+    else:
+        assert cls.__hash__ is _Value.__hash__
 
 
 def test_sums_are_unhashable():
