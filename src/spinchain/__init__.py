@@ -8,14 +8,17 @@ group a gate set generates, and maps concrete pulse schedules both to a
 the chain's rotation frame; a schedule of frame bilinears (buses I and
 II) is read as that rotation directly, at any n.
 
-``import spinchain`` executes no layer.  Each public name, and each
-layer read as ``spinchain.<layer>``, is imported on its first read
-(PEP 562) and then bound here, so later reads are plain attribute reads.
-Only ``dense`` needs numpy at import, and a name read from another layer
-does not load it.
+``import spinchain`` executes no layer.  Each public name is imported
+from its layer on its first read (PEP 562).  A layer read as
+``spinchain.<layer>``, or imported with ``from spinchain import <layer>``,
+is registered in ``sys.modules`` to execute on its first attribute read;
+one already imported is reused.  Names and layers are then bound here,
+so later reads are plain attribute reads.  Only ``dense`` needs numpy at import,
+and a name read from another layer does not load it.
 """
 
-import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
@@ -44,7 +47,16 @@ __all__ = sorted(_HOME)
 def __getattr__(name):
     # PEP 562: called only for names not yet in the module globals.
     if name in _LAYERS:
-        value = importlib.import_module(f"{__name__}.{name}")
+        # Registered to execute on its first attribute read.  A name read
+        # below keeps import_module, which holds the import lock while the
+        # layer runs; LazyLoader takes none on Python 3.10 and 3.11.
+        fullname = f"{__name__}.{name}"
+        value = sys.modules.get(fullname)
+        if value is None:
+            spec = importlib.util.find_spec(fullname)
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            value = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(value)
     elif name in _HOME:
         value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
     else:

@@ -6,47 +6,24 @@ fails, 2 usage or input error.  JSON is the machine interface; pass
 take an explicit ``--seed``.  Floats are rounded to 12 decimals before
 either form is printed, so command output is byte-stable.
 
-Importing this module executes no layer of the package: each is
-registered to execute on its first attribute read, so a command pays to
-import only the layers it reads, and a bus-I/II schedule runs without
-numpy.
+Importing this module executes no layer of the package: it imports them
+through the package, which registers each to execute on its first
+attribute read, so a command pays to import only the layers it reads,
+and a bus-I/II schedule runs without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import sys
 
-
-def _layer(name: str):
-    """spinchain.<name>, registered to execute on its first attribute read.
-
-    A layer that is already imported is reused as it is.
-    """
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-# Every layer is registered here and executed by the first command that
-# reads it: gen runs pauli and generators; car adds operators to those
-# two, closure adds closure, and schedule adds frame.  dense (and numpy,
-# and operators with it) runs only for a schedule that frame cannot read,
-# or to name dense's limit in an error.
-pauli = _layer("pauli")
-generators = _layer("generators")
-operators = _layer("operators")
-closure_mod = _layer("closure")
-frame = _layer("frame")
-dense = _layer("dense")
+# Each layer runs on the first command that reads it: gen runs pauli and
+# generators; car adds operators to those two, closure adds closure, and
+# schedule adds frame.  dense (and numpy, and operators with it) runs only
+# for a schedule that frame cannot read, or to name dense's limit in an
+# error.
+from . import closure as closure_mod, dense, frame, generators, operators, pauli
 
 FLOAT_DECIMALS = 12
 
@@ -160,6 +137,8 @@ def _check_readable(n: int, bilinear: bool) -> None:
 
 
 def _load_schedule(args) -> frame.PulseSchedule:
+    if (args.file is None) == (args.random is None):
+        raise ValueError("give either a schedule file or --random with --n/--bus/--seed")
     if args.random is not None:
         if args.n is None or args.bus is None or args.seed is None:
             raise ValueError("--random requires --n, --bus, and --seed")
@@ -167,8 +146,8 @@ def _load_schedule(args) -> frame.PulseSchedule:
         # Drawing builds every bus member first.
         _check_readable(args.n, {b.strip().upper() for b in bus_ids} <= {"I", "II"})
         return frame.random_schedule(args.n, bus_ids, args.random, args.seed)
-    if not args.file:
-        raise ValueError("give a schedule file, or --random with --n/--bus/--seed")
+    if (args.n, args.bus, args.seed) != (None, None, None):
+        raise ValueError("--n, --bus and --seed apply only with --random")
     with open(args.file, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)

@@ -137,7 +137,8 @@ def random_schedule(
     """Seeded uniform schedule over the members of the given buses.
 
     bus_ids is a list or tuple of bus ids, such as ["I", "II"]; the members
-    are drawn from in its order, so a seed names one schedule.
+    are drawn from in its order, so a seed names one schedule.  The length
+    and the seed are integers (an int or a numpy integer, not a bool).
     """
     length = _integer(length, "schedule length")
     if length < 0:
@@ -148,7 +149,7 @@ def random_schedule(
     refs = [ref for bus_id in bus_ids for ref in build_bus(n, bus_id).members]
     if not refs:
         raise ValueError("no generators to draw from")
-    rng = random.Random(seed)
+    rng = random.Random(_integer(seed, "seed"))
     pulses = tuple(
         (refs[rng.randrange(len(refs))], rng.uniform(0.0, 2.0 * math.pi))
         for _ in range(length)

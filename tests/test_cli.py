@@ -446,6 +446,32 @@ class TestScheduleInputErrors:
         assert code == 0
         assert json.loads(out)["pulses"] == [{"gen": "e0", "theta": 1.0}]
 
+    # A schedule comes from a file or from --random, never both; the options
+    # that shape a random draw mean nothing to a file.
+    @pytest.mark.parametrize("argv, message", [
+        (["--random", "3", "--n", "2", "--bus", "III", "--seed", "1"], "either a schedule file or"),
+        (["--n", "50", "--bus", "III", "--seed", "1"], "apply only with --random"),
+        (["--n", "2"], "apply only with --random"),
+        (["--bus", "I"], "apply only with --random"),
+        (["--seed", "1"], "apply only with --random"),
+    ], ids=["file and random", "all three", "n", "bus", "seed"])
+    def test_options_a_file_ignores_exit_two(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "schedule", str(DATA / "schedule_frame_n3.json"), *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "bus", "--n", "3"], "gen bus requires --id I|II|III"),
+    (["schedule"], "give either a schedule file or --random with --n/--bus/--seed"),
+], ids=["bus without id", "no schedule"])
+def test_missing_input_exits_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
 
 def test_json_keys_are_sorted(capsys):
     _, out, _ = run_cli(capsys, "gen", "e", "--n", "2", "--k", "0")

@@ -3,15 +3,16 @@ executes only the layers it reads, the exact-algebra commands start
 without numpy, and `gen` and the rotation-picture schedules start without
 dataclasses or inspect.
 
-Each public name is imported from its layer on its first read; `cli`
-registers every layer to execute on its first attribute read.  numpy is
-imported by `dense` and inside `closure_general` only.  A `schedule` of
-frame bilinears is read in the rotation picture (`frame`) and starts
-without numpy too; any other schedule is composed by `dense`.  The
-library values are no dataclasses; only the closure and CAR reports are,
-so only `closure` and `operators` import dataclasses (and with it
-inspect).  pytest has imported the package and numpy already, so each
-guard runs in a fresh interpreter.
+Each public name is imported from its layer on its first read.  A layer
+read from the package is registered to execute on its first attribute
+read; `cli` imports every layer that way.  numpy is imported by `dense`
+and inside `closure_general` only.  A `schedule` of frame bilinears is
+read in the rotation picture (`frame`) and starts without numpy too; any
+other schedule is composed by `dense`.  The library values are no
+dataclasses; only the closure and CAR reports are, so only `closure` and
+`operators` import dataclasses (and with it inspect).  pytest has
+imported the package and numpy already, so each guard runs in a fresh
+interpreter.
 """
 
 import os
@@ -155,6 +156,23 @@ print(spinchain.cli.pauli is sys.modules["spinchain.pauli"], spinchain.cli.pauli
 print(type(spinchain.cli.dense) is types.ModuleType, spinchain.dense is spinchain.cli.dense)
 """
     assert fresh(probe) == ["True", "True", "False", "True"]
+
+
+def test_reading_a_layer_registers_it_unexecuted():
+    probe = """
+import sys, types
+import spinchain
+m = spinchain.dense
+print("numpy" in sys.modules, m is sys.modules["spinchain.dense"])
+import spinchain.cli
+layers = [sys.modules.get("spinchain." + name)
+          for name in ("pauli", "operators", "generators", "closure", "frame", "dense")]
+print(spinchain.cli.dense is m, all(layer is not None and type(layer) is not types.ModuleType
+                                    for layer in layers))
+m.run_schedule
+print("numpy" in sys.modules, type(m) is types.ModuleType)
+"""
+    assert fresh(probe) == ["False", "True", "True", "True", "True", "True"]
 
 
 def test_bare_import_defers_dense():

@@ -34,6 +34,7 @@ from spinchain import (
     to_matrix,
     verify_car,
 )
+from spinchain.pauli import word_product
 
 # Each public entry that reads a chain length, called with n as its chain length.
 ENTRIES = {
@@ -92,6 +93,18 @@ def test_random_schedule_length_is_a_non_negative_integer(length):
 
 def test_random_schedule_takes_a_numpy_integer_length():
     assert len(random_schedule(2, ["I"], np.int64(3), seed=1).pulses) == 3
+
+
+# None would draw a new schedule on each call; a seed names one schedule.
+@pytest.mark.parametrize("seed", [None, True, 2.5, "1", [1]],
+                         ids=["none", "bool", "float", "text", "list"])
+def test_random_schedule_seed_is_an_integer(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        random_schedule(2, ["I"], 3, seed)
+
+
+def test_random_schedule_takes_a_numpy_integer_seed():
+    assert random_schedule(3, ["I", "II"], 6, np.int64(5)) == random_schedule(3, ["I", "II"], 6, 5)
 
 
 # A string would be read letter by letter ("III" as bus I three times), a set
@@ -155,3 +168,32 @@ def test_non_hermitian_word_fails_alike_on_both_paths(n, pulses):
         assert str(from_frame.value) == str(from_run.value)
     else:
         assert frame_membership(schedule) is None
+
+
+# The remaining refusals, one per rule: each call breaks that rule alone.
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GeneratorRef("q", 2), ValueError, "unknown generator kind 'q'"),
+    (lambda: GeneratorRef("e", 2), ValueError, "kind 'e' needs an index"),
+    (lambda: GeneratorRef("raw", 3, raw=PauliString("XY")), ValueError,
+     "raw string acts on 2 qubits, expected 3"),
+    (lambda: closure_strings(3, ["XX"]), ValueError, "word 'XX' has length 2, expected 3"),
+    (lambda: word_product("X", "XY"), ValueError, "word lengths differ: 1 vs 2"),
+    (lambda: closure_general(3, [PauliSum(2, {"XY": 1.0})]), ValueError,
+     "generator acts on 2 qubits, expected 3"),
+    (lambda: random_schedule(2, [], 3, 1), ValueError, "no generators to draw from"),
+    (lambda: to_matrix(3.5), TypeError, "cannot build a matrix from float"),
+    (lambda: PauliSum(2, {"XY": 1.0}) + 1, TypeError, "unsupported operand"),
+    (lambda: PauliSum(2, {"XY": 1.0}) - 1, TypeError, "unsupported operand"),
+    (lambda: PauliSum(2, {"XY": 1.0}) @ 1, TypeError, "unsupported operand"),
+], ids=["unknown kind", "missing index", "raw length", "closure word length",
+        "product word lengths", "closure generator n", "no buses", "matrix of a float",
+        "sum plus int", "sum minus int", "sum times int"])
+def test_each_remaining_rule_refuses_its_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_negation_and_the_printed_zero():
+    s = PauliSum(2, {"XY": 1.0, "ZI": -2.0j})
+    assert -s == PauliSum(2, {"XY": -1.0, "ZI": 2.0j})
+    assert str(PauliSum.zero(2)) == "0"
