@@ -226,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_clo = sub.add_parser("closure", help="dynamical Lie-algebra closure of a generator set")
     p_clo.add_argument("--n", type=int, required=True)
     p_clo.add_argument("--bus", help="comma-separated bus ids, e.g. I,II")
-    p_clo.add_argument("--gen", help="comma-separated generators: e0, d3, third, chirality, or Pauli literals")
+    p_clo.add_argument("--gen", help="comma-separated generators: e0, d3, third, chirality, or Pauli "
+                                     "literals; write a signed literal as --gen=-XX")
     p_clo.add_argument("--output", choices=["json", "table"], default="json")
     p_clo.set_defaults(handler=_cmd_closure)
 
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sch.add_argument("--random", type=int, metavar="COUNT", help="draw a seeded random schedule instead of reading a file")
     p_sch.add_argument("--n", type=int, help="chain length (with --random)")
     p_sch.add_argument("--bus", help="buses to draw pulses from (with --random)")
-    p_sch.add_argument("--seed", type=int, help="random seed (with --random)")
+    p_sch.add_argument("--seed", type=int, help="random seed, a non-negative integer (with --random)")
     p_sch.add_argument("--tolerance", type=float, default=1e-9,
                        help="membership and unitarity tolerance")
     p_sch.add_argument("--output", choices=["json", "table"], default="json")

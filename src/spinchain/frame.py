@@ -138,18 +138,22 @@ def random_schedule(
 
     bus_ids is a list or tuple of bus ids, such as ["I", "II"]; the members
     are drawn from in its order, so a seed names one schedule.  The length
-    and the seed are integers (an int or a numpy integer, not a bool).
+    and the seed are non-negative integers (an int or a numpy integer, not
+    a bool): random.Random seeds from |seed|, so -S would draw S's schedule.
     """
     length = _integer(length, "schedule length")
     if length < 0:
         raise ValueError(f"schedule length must be non-negative, got {length}")
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     _check_schedule_length(length)
     if not isinstance(bus_ids, (list, tuple)) or not all(isinstance(b, str) for b in bus_ids):
         raise ValueError(f"bus ids must be a list of strings such as ['I', 'II'], got {bus_ids!r}")
     refs = [ref for bus_id in bus_ids for ref in build_bus(n, bus_id).members]
     if not refs:
         raise ValueError("no generators to draw from")
-    rng = random.Random(_integer(seed, "seed"))
+    rng = random.Random(seed)
     pulses = tuple(
         (refs[rng.randrange(len(refs))], rng.uniform(0.0, 2.0 * math.pi))
         for _ in range(length)

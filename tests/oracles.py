@@ -5,10 +5,10 @@ and words from its own bit encoding or letter by letter, deliberately
 bypassing the package's own dense backend, closure engines and word
 builders, so agreement between the two is a real cross-check and not a
 tautology.  The exceptions are earlier engines kept as references for
-the ones in the package: closure_general_gram_schmidt does its
-Gram-Schmidt with PauliSum arithmetic instead of numpy rows over a word
-index, and verify_car_all_pairs builds every ordered-pair anticommutator
-as a PauliSum.
+the ones in the package: closure_general_gram_schmidt brackets with
+PauliSum arithmetic and does its Gram-Schmidt on coefficient dicts
+instead of numpy rows over a word index, and verify_car_all_pairs builds
+every ordered-pair anticommutator as a PauliSum.
 """
 
 import itertools
@@ -287,34 +287,31 @@ def word_closure_all_generators(n, words):
     return tuple(sorted(_bits_word(x, z, n) for x, z in known)), rounds, sizes
 
 
-def _inner(a, b):
-    # Real coefficients throughout (Hermitian inputs, i*[A,B] brackets).
-    small, big = (a._terms, b._terms) if len(a) <= len(b) else (b._terms, a._terms)
-    return sum(c.real * big.get(k, 0j).real for k, c in small.items())
-
-
 def closure_general_gram_schmidt(n, generators, tol=1e-9):
     """Rank-tracked closure of Hermitian PauliSums under C = i*[G, V].
 
     The same frontier as spinchain.closure_general, but the basis is a
-    list of PauliSums: each candidate is projected against every basis
-    vector (re-orthogonalized once) with PauliSum arithmetic, which
-    prunes coefficients below PRUNE_TOLERANCE at every step, and kept
-    when its residual norm exceeds tol.  O(dim^2) sum operations; a span
-    past 4^n - 1 raises ValueError.
+    list of {(x, z): coefficient} dicts: each candidate, a bracket taken
+    with PauliSum arithmetic, is projected against every basis vector
+    (re-orthogonalized once) in plain float dict arithmetic, unpruned, and
+    kept when its residual norm exceeds tol.  PauliSum arithmetic prunes
+    coefficients below PRUNE_TOLERANCE, so a Gram-Schmidt step taken with
+    it loses orthogonality on ill-conditioned sets.  O(dim^2) dict
+    operations; a span past 4^n - 1 raises ValueError.
     """
     basis = []
 
     def try_add(candidate):
-        v = candidate.traceless()
+        # Real coefficients throughout (Hermitian inputs, i*[A,B] brackets).
+        v = {k: c.real for k, c in candidate.traceless()._terms.items()}
         for _ in range(2):
             for b in basis:
-                c = _inner(v, b)
-                if c:
-                    v = v - c * b
-        nrm = math.sqrt(sum(abs(c) ** 2 for c in v._terms.values()))
+                c = sum(x * v.get(k, 0.0) for k, x in b.items())
+                for k, x in b.items():
+                    v[k] = v.get(k, 0.0) - c * x
+        nrm = math.sqrt(sum(x * x for x in v.values()))
         if nrm > tol:
-            basis.append((1.0 / nrm) * v)
+            basis.append({k: x / nrm for k, x in v.items()})
 
     for g in generators:
         try_add(g)
@@ -325,6 +322,7 @@ def closure_general_gram_schmidt(n, generators, tol=1e-9):
         rounds += 1
         start = len(basis)
         for v in frontier:
+            v = PauliSum.from_bits(n, v)
             for g in generators:
                 try_add(1j * g.commutator(v))
             if len(basis) > 4**n - 1:

@@ -75,6 +75,15 @@ class TestGen:
         assert out == ""
         assert f"{flag} applies only to" in err
 
+    # Words at n = 1000, built from bits, against the words spelled out.
+    @pytest.mark.parametrize("kind, word", [
+        (["e", "--k", "1999"], "Z" * 999 + "Y"),
+        (["d", "--k", "1997"], "I" * 998 + "XX"),
+        (["third"], "IY" + "I" * 998),
+    ], ids=["e1999", "d1997", "third"])
+    def test_named_word_at_n_1000(self, capsys, kind, word):
+        assert run_json(capsys, "gen", *kind, "--n", "1000")["pauli"] == word
+
     def test_bad_kind_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "w", "--n", "2"])
@@ -97,6 +106,11 @@ class TestCar:
         payload = json.loads(out)
         assert payload["max_deviation"] > 0
         assert payload["failures"]
+
+    def test_largest_chain_is_clean(self, capsys):
+        payload = run_json(capsys, "car", "--n", str(operators.MAX_CAR_MODES))
+        assert payload["max_deviation"] == 0.0
+        assert payload["failures"] == []
 
     def test_past_mode_budget_exits_two(self, capsys):
         cap = operators.MAX_CAR_MODES
@@ -270,6 +284,46 @@ class TestSchedule:
         # no U on the rotation picture: unitarity_residual is R's orthogonality
         assert payload["unitarity_residual"] == payload["rotation"]["orthogonality_residual"]
 
+    # Bus I/II at the dense limit and at the rotation picture's limit
+    # (MAX_FRAME_QUBITS = 128); bus III at the dense limit, at n = 6 and on
+    # the smallest chain it exists on, where every schedule goes through the
+    # window plan.
+    @pytest.mark.parametrize("count, n, buses, member", [
+        (200, 8, "I,II", True),
+        (200, 128, "I,II", True),
+        (200, 8, "I,II,III", False),
+        (200, 6, "I,II,III", False),
+        (30, 2, "I,II,III", False),
+    ])
+    def test_random_schedule_membership(self, capsys, count, n, buses, member):
+        payload = run_json(capsys, "schedule", "--random", str(count), "--n", str(n),
+                           "--bus", buses, "--seed", "1")
+        assert len(payload["pulses"]) == count
+        assert payload["member"] is member
+        if member:
+            assert payload["membership_residual"] == 0.0
+            assert payload["rotation"]["size"] == 2 * n + 1
+        else:
+            assert payload["rotation"] is None
+
+    # A bilinear, then third, on the dense path; and wide words: the chirality,
+    # e9 and -ZZZZZ span all five qubits, and e15, the chirality and -ZZZZZZZZ
+    # all eight, so dense updates U in place for them.
+    @pytest.mark.parametrize("n, pulses, residual", [
+        (3, [("e0", 0.4), ("third", 0.7), ("d2", 1.1)], 0.985449729988),
+        (5, [("chirality", 0.3), ("e9", 0.5), ("third", 0.7), ("-ZZZZZ", 0.2)], 0.813326758863),
+        (8, [("d0", 0.3), ("e15", 0.5), ("chirality", 0.7), ("d3", 0.2), ("-ZZZZZZZZ", 0.4),
+             ("e13", 0.6), ("XIIIIIIY", 0.8), ("third", 0.9), ("e15", 1.1), ("d8", 0.25),
+             ("chirality", 1.3), ("-ZZZZZZZZ", 0.35)], 0.772170886149),
+    ], ids=["third_n3", "wide_n5", "wide_n8"])
+    def test_schedule_file_membership_residual(self, capsys, tmp_path, n, pulses, residual):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({"n": n, "pulses": [{"gen": g, "theta": t} for g, t in pulses]}))
+        payload = run_json(capsys, "schedule", str(path))
+        assert payload["member"] is False
+        assert payload["rotation"] is None
+        assert payload["membership_residual"] == residual
+
     @pytest.mark.parametrize("argv", [
         ("--random", "30", "--n", "1", "--bus", "I,II", "--seed", "3"),
         ("--random", "60", "--n", "3", "--bus", "I,II", "--seed", "4"),
@@ -330,6 +384,30 @@ class TestScheduleInputErrors:
         assert code == 2
         assert out == ""
         assert "non-negative" in err
+
+    def test_negative_seed_exits_two(self, capsys):
+        # random.Random seeds from |seed|: --seed -1 would print --seed 1's schedule.
+        code, out, err = run_cli(
+            capsys, "schedule", "--random", "5", "--n", "2", "--bus", "I", "--seed", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be non-negative, got -1\n"
+
+    # One pulse-word rule on both paths: iXY is a frame bilinear, refused by
+    # the rotation picture; third comes first in the n = 3 file, so the
+    # rotation picture hands it to dense, which refuses iXYZ.
+    @pytest.mark.parametrize("n, pulses", [
+        (2, [("iXY", 0.1)]),
+        (3, [("third", 0.2), ("iXYZ", 0.1)]),
+    ], ids=["rotation picture", "dense"])
+    def test_non_hermitian_pulse_exits_two(self, capsys, tmp_path, n, pulses):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({"n": n, "pulses": [{"gen": g, "theta": t} for g, t in pulses]}))
+        code, out, err = run_cli(capsys, "schedule", str(path))
+        assert code == 2
+        assert out == ""
+        assert "not Hermitian" in err
 
     def test_random_count_past_budget_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(frame, "MAX_SCHEDULE_PULSES", 5)

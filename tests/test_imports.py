@@ -15,6 +15,7 @@ imported the package and numpy already, so each guard runs in a fresh
 interpreter.
 """
 
+import json
 import os
 import pathlib
 import subprocess
@@ -102,6 +103,24 @@ def test_schedule_imports_numpy():
 ])
 def test_gen_and_frame_schedules_do_not_import_dataclasses(argv):
     assert fresh(CLI_PROBE, *argv) == ["0", "False", "False", "False"]
+
+
+# python -m spinchain.cli runs cli as __main__; -X importtime lists on stderr
+# every module the interpreter imported.
+@pytest.mark.parametrize("argv, absent", [
+    (["schedule", "--random", "20", "--bus", "I,II", "--n", "4", "--seed", "1"], {"numpy"}),
+    (["gen", "e", "--n", "4", "--k", "3"], {"dataclasses", "inspect"}),
+])
+def test_module_entry_point_imports_only_what_the_command_reads(argv, absent):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "spinchain.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n"] == 4
+    imported = {line.rsplit("|", 1)[1].strip().split(".")[0]
+                for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "spinchain" in imported
+    assert not imported & absent
 
 
 def test_reports_import_dataclasses():

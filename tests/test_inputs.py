@@ -107,6 +107,17 @@ def test_random_schedule_takes_a_numpy_integer_seed():
     assert random_schedule(3, ["I", "II"], 6, np.int64(5)) == random_schedule(3, ["I", "II"], 6, 5)
 
 
+# random.Random seeds from |seed|: -5 would draw the schedule of 5.
+@pytest.mark.parametrize("seed", [-5, np.int64(-5)], ids=["int", "numpy"])
+def test_random_schedule_refuses_a_negative_seed(seed):
+    with pytest.raises(ValueError, match=f"seed must be non-negative, got {int(seed)}"):
+        random_schedule(3, ["I", "II"], 6, seed)
+
+
+def test_random_schedule_takes_seed_zero():
+    assert len(random_schedule(3, ["I", "II"], 6, 0).pulses) == 6
+
+
 # A string would be read letter by letter ("III" as bus I three times), a set
 # in an order that follows the string hash.
 @pytest.mark.parametrize("bus_ids", ["III", {"I", "II"}, frozenset({"I"}), ["I", 2], None],
