@@ -8,10 +8,18 @@ words they anticommute with, until a round adds nothing.  Each word is
 one int key (pauli.word_code; a product is an XOR) and carries a GF(2)
 mask of the generators it anticommutes with, which its product with
 generator j inherits as mask ^ mask(g_j), so the loop visits only those
-generators and never tests the commuting ones.  The generators' own
-masks come from pauli.anticommutation_masks, the exact layer's one
-mask builder (bit planes, no pair tested).  Past
-MAX_CLOSURE_DIMENSION words (4^9 - 1, su(2^9)) it raises ResourceLimitError.
+generators and never tests the commuting ones.  A word first found as
+p * g_j also skips g_j and every g_k, k < j, that commutes with g_j:
+its product with such a g_k is the same word as (p * g_k) * g_j, and
+p * g_k, earlier in the frontier, reaches it with the larger generator
+index j or hands it on, by the same rule, to an element earlier still
+(_word_closure gives the proof).  So the loop finds the same words in
+the same order and brackets each about once: dim + 2n brackets for
+buses I and II (2,144 at n = 32, against 8,064 for every anticommuting
+pair), and 26,445 against 122,880 for su(2^7).  The generators' own
+masks come from pauli.anticommutation_masks, the exact layer's one mask
+builder (bit planes, no pair tested).  Past MAX_CLOSURE_DIMENSION words
+(4^9 - 1, su(2^9)) it raises ResourceLimitError.
 
 - closure_strings returns that word set: the real span of {i*w} is closed
   under commutation iff the set is closed under anticommuting products,
@@ -59,9 +67,11 @@ class ClosureReport:
     (rank-tracked) mode, where only the dimension is meaningful.
     rounds counts frontier rounds (bracket depth plus the final empty
     round); pairs_processed counts the (element, generator) pairs the
-    closure covers, dimension times the number of generators, of which
-    only the anticommuting ones are bracketed (a commuting pair brackets
-    to 0).  Both are fully determined by the input set.
+    closure covers, dimension times the number of generators.  It is not
+    the number of brackets made: the string loop brackets a word only
+    with generators it anticommutes with (a commuting pair brackets to
+    0), and skips those whose product an earlier pair reaches.  Both are
+    fully determined by the input set.
 
     A frozen dataclass, unlike the library values (pauli._Value): callers
     derive variants of a report with dataclasses.replace.
@@ -117,7 +127,7 @@ def _check_budget(n: int, size: int) -> None:
 
 
 def _report(n: int, dim: int, rounds: int, gen_count: int, basis=None) -> ClosureReport:
-    # Every element meets every generator once; only anticommuting pairs are bracketed.
+    # The pairs covered, dimension times generators, not the brackets made (see ClosureReport).
     return ClosureReport(n, dim, classify_dimension(n, dim), rounds, dim * gen_count, basis)
 
 
@@ -126,23 +136,40 @@ def _word_closure(n: int, gens: list[tuple[int, int]]) -> tuple[dict[int, int], 
 
     Bit j of a word's mask says whether it anticommutes with gens[j].  The
     symplectic form is bilinear over GF(2), so mask(w * g_j) = mask(w) ^
-    mask(g_j): each word inherits its mask from its parent, and the loop
-    visits only its set bits, lowest first, as a scan of every generator
-    in order would meet them.
+    mask(g_j): each word inherits its mask from its parent.  A frontier
+    entry is (code, mask, todo); the loop brackets the word with the
+    generators of todo, a subset of mask, lowest first, as a scan of every
+    generator in order would meet them.  A generator's todo is its mask.
+
+    A new word w, first found as p * g_j, leaves out of its todo g_j and
+    every g_k with k < j that commutes with g_j (it anticommutes with w
+    exactly when it does with p): todo = mask & keep[j].  No such product
+    is new when w is bracketed, so the loop finds what the loop over every
+    anticommuting generator finds, in the same order, with the same
+    rounds.  w * g_j = p is known.  A skipped g_k, k < j, that
+    anticommutes with w does so with p, and w * g_k is the same word as
+    (p * g_k) * g_j.  p met g_k before g_j, so p * g_k was known before w
+    and comes before it in the frontier, and it anticommutes with g_j.
+    So either it brackets with g_j itself, the larger generator index,
+    before w is reached, or it skipped g_j by this rule and hands the word
+    on to an element earlier still.  Each step goes to an earlier element,
+    so the chain ends at a pair the loop brackets.  Buses I and II make
+    dim + 2n brackets this way, against about 4 dim.
     """
     # Slot j + 1 holds gens[j], so that a mask's lowest set bit low finds
     # its generator at low.bit_length().
     codes = [0] + [word_code(x, z) for x, z in gens]
     masks = [0] + anticommutation_masks(gens, gens)
+    # keep[j]: every bit but those of slots 1..j that commute with slot j (itself among them).
+    keep = [m | -(1 << j) for j, m in enumerate(masks)]
     known = dict(zip(codes[1:], masks[1:]))
-    frontier = list(known.items())
+    frontier = [(code, mask, mask) for code, mask in known.items()]
     rounds = 0
     while frontier:
         rounds += 1
         new = []
         add = new.append
-        for code, mask in frontier:
-            todo = mask
+        for code, mask, todo in frontier:
             while todo:
                 low = todo & -todo
                 todo ^= low
@@ -150,7 +177,7 @@ def _word_closure(n: int, gens: list[tuple[int, int]]) -> tuple[dict[int, int], 
                 key = code ^ codes[j]
                 if key not in known:
                     known[key] = key_mask = mask ^ masks[j]
-                    add((key, key_mask))
+                    add((key, key_mask, key_mask & keep[j]))
             _check_budget(n, len(known))
         frontier = new
     return known, rounds
@@ -159,12 +186,18 @@ def _word_closure(n: int, gens: list[tuple[int, int]]) -> tuple[dict[int, int], 
 def closure_strings(n: int, generators: Iterable[str]) -> ClosureReport:
     """Close a set of Pauli words under products of anticommuting pairs.
 
-    The identity word is rejected as input (it cannot arise from
-    commutators and would break the dimension count).  Output basis is
-    sorted and independent of generator order.
+    generators is a collection of words; a bare str is refused, as its
+    letters would be read as one-letter words.  The identity word is
+    rejected as input (it cannot arise from commutators and would break
+    the dimension count).  Output basis is sorted and independent of
+    generator order.
     """
     n = _qubits(n)
-    gens = words_to_bits(n, sorted(set(generators)))
+    if isinstance(generators, str):
+        raise ValueError(f"generators must be a collection of words, not the str {generators!r}")
+    words = list(generators)
+    bits = dict(zip(words, words_to_bits(n, words)))  # every word checked before any is sorted
+    gens = [bits[w] for w in sorted(bits)]
     if not gens:
         raise ValueError("generator set must be nonempty")
     if (0, 0) in gens:

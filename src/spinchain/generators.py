@@ -30,9 +30,22 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .pauli import PauliParseError, PauliString, _integer, _qubits, _Value, parse_pauli
+from .pauli import (
+    PauliParseError,
+    PauliString,
+    ResourceLimitError,
+    _integer,
+    _qubits,
+    _Value,
+    parse_pauli,
+)
 
 BUS_IDS = ("I", "II", "III")
+
+# Letters GateBus.words() builds at most: n per member, n^2 for bus I or
+# II, so chains up to n = 2048.  It sits here, not beside closure's
+# MAX_CLOSURE_DIMENSION, so that gen bus runs without the closure layer.
+MAX_BUS_LETTERS = 2**22
 
 
 def _frame_bits(n: int, a: int) -> tuple[int, int]:
@@ -241,6 +254,11 @@ class GateBus(_Value):
         self.__dict__.update(bus_id=bus_id, n=n, members=members)
 
     def words(self) -> list[str]:
+        """The members' words; ResourceLimitError, before any is built, past MAX_BUS_LETTERS letters."""
+        letters = self.n * len(self.members)
+        if letters > MAX_BUS_LETTERS:
+            raise ResourceLimitError(f"bus {self.bus_id} at n={self.n} holds {letters} letters, "
+                                     f"past the budget of {MAX_BUS_LETTERS}")
         return [ref.resolve().letters for ref in self.members]
 
 

@@ -242,11 +242,15 @@ class PauliSum(_Value):
         """The sum of a to_json_dict payload; ValueError for a malformed one.
 
         re and im must be JSON numbers (int or float, not bool), as a
-        schedule's angles must.
+        schedule's angles must, and a word that is not a JSON string makes
+        the payload malformed.
         """
         try:
             n = _qubits(payload["n"], "PauliSum n")
             terms = [(t["word"], t["re"], t.get("im", 0.0)) for t in payload["terms"]]
+            for word, _, _ in terms:
+                if not isinstance(word, str):
+                    raise ValueError(f"malformed PauliSum payload: word {word!r} is not a str")
             for value in [v for _, re, im in terms for v in (re, im)]:
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise ValueError(f"PauliSum coefficients must be JSON numbers, got {value!r}")

@@ -365,9 +365,16 @@ def code_to_bits(code: int) -> tuple[int, int]:
 
 
 def words_to_bits(n: int, words: Iterable[str]) -> list[tuple[int, int]]:
-    """word_to_bits of every word, checking that each has n letters."""
+    """word_to_bits of every word, checking that each is a str of n letters.
+
+    The one rule for a list of words, which closure_strings and PauliSum
+    apply: a word that is not a str (bytes, a PauliString, None) raises
+    ValueError naming it.
+    """
     out = []
     for w in words:
+        if not isinstance(w, str):
+            raise ValueError(f"word {w!r} is not a str")
         if len(w) != n:
             raise DimensionMismatchError(f"word {w!r} has length {len(w)}, expected {n}")
         out.append(word_to_bits(w))

@@ -7,8 +7,11 @@ builders, so agreement between the two is a real cross-check and not a
 tautology.  The exceptions are earlier engines kept as references for
 the ones in the package: closure_general_gram_schmidt brackets with
 PauliSum arithmetic and does its Gram-Schmidt on coefficient dicts
-instead of numpy rows over a word index, and verify_car_all_pairs builds
-every ordered-pair anticommutator as a PauliSum.
+instead of numpy rows over a word index, verify_car_all_pairs builds
+every ordered-pair anticommutator as a PauliSum, and
+word_closure_anticommuting_generators is the package's word loop before
+it skipped the products another pair reaches, on the package's word
+codes and masks.
 """
 
 import itertools
@@ -24,6 +27,7 @@ from spinchain import (
     classify_dimension,
     majorana,
 )
+from spinchain.pauli import anticommutation_masks, word_code
 
 SIGMA = {
     "I": np.eye(2, dtype=complex),
@@ -285,6 +289,35 @@ def word_closure_all_generators(n, words):
             sizes.append(len(known))
         frontier = new
     return tuple(sorted(_bits_word(x, z, n) for x, z in known)), rounds, sizes
+
+
+def word_closure_anticommuting_generators(gens):
+    """The word loop that brackets each word with every generator it anticommutes with.
+
+    gens are (x, z) bit pairs.  Returns ({code: mask}, rounds) in the
+    shape of spinchain.closure._word_closure: keys are pauli.word_code
+    values in insertion order, and bit j of a mask says whether the word
+    anticommutes with gens[j].  A product inherits mask ^ mask(gens[j]),
+    and its set bits are visited lowest first.  Kept as the reference for
+    the loop that skips the products an earlier pair reaches.
+    """
+    codes = [word_code(x, z) for x, z in gens]
+    masks = anticommutation_masks(gens, gens)
+    known = dict(zip(codes, masks))
+    frontier = list(known.items())
+    rounds = 0
+    while frontier:
+        rounds += 1
+        new = []
+        for code, mask in frontier:
+            for j in range(len(gens)):
+                if mask >> j & 1:
+                    key = code ^ codes[j]
+                    if key not in known:
+                        known[key] = mask ^ masks[j]
+                        new.append((key, known[key]))
+        frontier = new
+    return known, rounds
 
 
 def closure_general_gram_schmidt(n, generators, tol=1e-9):

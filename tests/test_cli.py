@@ -19,6 +19,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def never_resolved(self):
+    raise AssertionError("a bus word was built past the letter budget")
+
+
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
@@ -83,6 +87,16 @@ class TestGen:
     ], ids=["e1999", "d1997", "third"])
     def test_named_word_at_n_1000(self, capsys, kind, word):
         assert run_json(capsys, "gen", *kind, "--n", "1000")["pauli"] == word
+
+    def test_bus_past_the_letter_budget_exits_two(self, capsys, monkeypatch):
+        n = 2049  # bus I holds n^2 letters, just past 2^22 = 2048^2
+        assert n * n > generators.MAX_BUS_LETTERS >= (n - 1) ** 2
+        monkeypatch.setattr(generators.GeneratorRef, "resolve", never_resolved)
+        code, out, err = run_cli(capsys, "gen", "bus", "--n", str(n), "--id", "I")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: bus I at n={n} holds {n * n} letters, past the budget "
+                       f"of {generators.MAX_BUS_LETTERS}\n")
 
     def test_bad_kind_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -161,6 +175,15 @@ class TestClosure:
         assert code == 2
         assert out == ""
         assert "exceeds" in err
+
+    def test_bus_past_the_letter_budget_exits_two(self, capsys, monkeypatch):
+        n = 2049
+        monkeypatch.setattr(generators.GeneratorRef, "resolve", never_resolved)
+        code, out, err = run_cli(capsys, "closure", "--n", str(n), "--bus", "I,II")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: bus I at n={n} holds {n * n} letters, past the budget "
+                       f"of {generators.MAX_BUS_LETTERS}\n")
 
     def test_non_hermitian_generator_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "closure", "--n", "2", "--gen", "iXX")

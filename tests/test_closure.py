@@ -21,6 +21,7 @@ from spinchain import (
     majorana_bilinear,
 )
 from spinchain import closure as closure_mod
+from spinchain.pauli import words_to_bits
 
 from oracles import (
     closure_general_gram_schmidt,
@@ -30,6 +31,7 @@ from oracles import (
     kron_word,
     random_word,
     word_closure_all_generators,
+    word_closure_anticommuting_generators,
 )
 
 
@@ -290,6 +292,28 @@ def test_bus_closures_match_all_generator_loop(monkeypatch, n, ids):
     seen = budget_sizes(monkeypatch)
     report = closure_strings(n, words)
     assert (report.basis, report.rounds, seen) == (basis, rounds, sizes)
+
+
+def assert_skip_rule_matches_reference(n, words):
+    gens = words_to_bits(n, words)
+    known, rounds = closure_mod._word_closure(n, gens)
+    ref_known, ref_rounds = word_closure_anticommuting_generators(gens)
+    assert (list(known.items()), rounds) == (list(ref_known.items()), ref_rounds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_lists())
+def test_skip_rule_keeps_the_anticommuting_generator_loop(case):
+    # The words as drawn, unsorted and with duplicates; closure_strings passes them sorted and distinct.
+    n, words = case
+    assert_skip_rule_matches_reference(n, words)
+    assert_skip_rule_matches_reference(n, sorted(set(words)))
+
+
+@pytest.mark.parametrize("n,ids", [(n, ["I", "II"]) for n in (9, 17, 40, 100)]
+                         + [(n, ["I", "II", "III"]) for n in range(2, 7)])
+def test_skip_rule_keeps_the_anticommuting_generator_loop_on_buses(n, ids):
+    assert_skip_rule_matches_reference(n, sorted(set(bus_words(n, ids))))
 
 
 @pytest.mark.parametrize("ids", [["I", "II"], ["I", "II", "III"]])

@@ -11,6 +11,7 @@ from spinchain import (
     PauliString,
     PauliSum,
     PulseSchedule,
+    ResourceLimitError,
     build_bus,
     chirality,
     gamma_frame,
@@ -20,6 +21,7 @@ from spinchain import (
     subset_product,
     third_order_gate,
 )
+from spinchain import generators
 
 from oracles import bilinear_word, chain_word, chirality_word, frame_word, kron_bits, third_word
 
@@ -183,6 +185,20 @@ class TestBuses:
     def test_unknown_bus(self):
         with pytest.raises(ValueError):
             build_bus(2, "IV")
+
+    def test_words_stop_past_the_letter_budget_before_any_is_built(self, monkeypatch):
+        monkeypatch.setattr(generators, "MAX_BUS_LETTERS", 9)
+        assert build_bus(3, "I").words() == ["ZII", "IZI", "IIZ"]
+        assert build_bus(9, "III").words() == ["IY" + "I" * 7]
+
+        def never(self):
+            raise AssertionError("a word was built past the letter budget")
+
+        monkeypatch.setattr(GeneratorRef, "resolve", never)
+        for n, bus_id, letters in ((4, "I", 16), (4, "II", 16), (10, "III", 10)):
+            with pytest.raises(ResourceLimitError, match=f"bus {bus_id} at n={n} holds {letters} "
+                                                         "letters, past the budget of 9"):
+                build_bus(n, bus_id).words()
 
 
 class TestGeneratorRefs:

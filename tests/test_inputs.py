@@ -1,6 +1,7 @@
 """One rule per input kind: every public entry refuses a bad n, tolerance or pulse word alike."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,28 @@ def test_non_hermitian_word_fails_alike_on_both_paths(n, pulses):
 def test_each_remaining_rule_refuses_its_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+# One rule for a list of words: every word a str, checked before the list is sorted.
+WORD_LISTS = {
+    "closure_strings": lambda words: closure_strings(2, words),
+    "check_universality": lambda words: check_universality(2, words),
+    "PauliSum": lambda words: PauliSum(2, {w: 1.0 for w in words}),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WORD_LISTS))
+@pytest.mark.parametrize("word", [PauliString("XY"), 5, None, b"XY"],
+                         ids=["PauliString", "int", "None", "bytes"])
+def test_every_word_list_refuses_a_word_that_is_not_a_str(entry, word):
+    with pytest.raises(ValueError, match=re.escape(f"word {word!r} is not a str")):
+        WORD_LISTS[entry](["XY", word])
+
+
+@pytest.mark.parametrize("entry", ["closure_strings", "check_universality"])
+def test_a_bare_str_is_not_a_generator_collection(entry):
+    with pytest.raises(ValueError, match="a collection of words, not the str 'XY'"):
+        WORD_LISTS[entry]("XY")
 
 
 def test_negation_and_the_printed_zero():
