@@ -5,31 +5,23 @@ brackets [s_k, ..., [s_1, s_0]] of its members (Wiersema et al.,
 arXiv:2309.05690).  One word loop realises that: the words found in a
 round form the next frontier and are multiplied only by the generator
 words they anticommute with, until a round adds nothing.  Each word is
-one int key (pauli.word_code; a product is an XOR) and carries a GF(2)
-mask of the generators it anticommutes with, which its product with
-generator j inherits as mask ^ mask(g_j), so the loop visits only those
-generators and never tests the commuting ones.  A word first found as
-p * g_j also skips g_j and every g_k, k < j, that commutes with g_j:
-its product with such a g_k is the same word as (p * g_k) * g_j, and
-p * g_k, earlier in the frontier, reaches it with the larger generator
-index j or hands it on, by the same rule, to an element earlier still
-(_word_closure gives the proof).  So the loop finds the same words in
-the same order and brackets each about once: dim + 2n brackets for
-buses I and II (2,144 at n = 32, against 8,064 for every anticommuting
-pair), and 26,445 against 122,880 for su(2^7).  The generators' own
-masks come from pauli.anticommutation_masks, the exact layer's one mask
-builder (bit planes, no pair tested).  Past MAX_CLOSURE_DIMENSION words
-(4^9 - 1, su(2^9)) it raises ResourceLimitError.
+one int key (pauli.word_code; a product is an XOR) with a GF(2) mask of
+the generators it anticommutes with (pauli.anticommutation_masks), which
+its product with generator j inherits as mask ^ mask(g_j).  A word
+first found as p * g_j skips g_j and every g_k, k < j, commuting with
+g_j: its product with such a g_k is (p * g_k) * g_j, which p * g_k,
+earlier in the frontier, reaches or hands on to an element earlier
+still (_word_closure gives the proof).  So buses I and II make dim + 2n
+brackets (2,144 at n = 32, against 8,064).  Past MAX_CLOSURE_DIMENSION
+words (4^9 - 1, su(2^9)) it raises ResourceLimitError.
 
 - closure_strings returns that word set: the real span of {i*w} is closed
   under commutation iff the set is closed under anticommuting products,
   which never give the identity, so the set is itself a basis.
 - closure_general closes Hermitian PauliSums (e.g. the hopping/pairing
   bilinears).  Their brackets stay in the span of the string closure of
-  their words, so it runs the same frontier over that fixed index with
-  numpy linear algebra: sparse generator actions and rank tracking.  The
-  index words' masks name the term words each one anticommutes with, so
-  the actions are built from those pairs only.
+  their words, so it runs the same frontier over that index, acting on
+  anticommuting pairs only, with an exact rank over F_p: no tol, no numpy.
 
 Classification is by dimension only: the labels name the algebra whose
 dimension formula matches, and are not a proof of isomorphism type.
@@ -38,7 +30,7 @@ dimension formula matches, and are not a proof of isomorphism type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .pauli import (
     ResourceLimitError,
@@ -57,14 +49,16 @@ if TYPE_CHECKING:  # an annotation only: closure_strings runs without operators
     from .operators import PauliSum
 
 MAX_CLOSURE_DIMENSION = 4**9 - 1
+# closure_general's prime: a float is m * 2^k with odd m < 2^53, never 0 mod p.
+_PRIME = (1 << 61) - 1
 
 
 @dataclass(frozen=True)
 class ClosureReport:
     """Outcome of a closure run.
 
-    basis is the sorted word list in string mode and None in general
-    (rank-tracked) mode, where only the dimension is meaningful.
+    basis is the sorted word list of a string closure, and None for a
+    general one, which reports its exact dimension only.
     rounds counts frontier rounds (bracket depth plus the final empty
     round); pairs_processed counts the (element, generator) pairs the
     closure covers, dimension times the number of generators.  It is not
@@ -207,32 +201,32 @@ def closure_strings(n: int, generators: Iterable[str]) -> ClosureReport:
     return _report(n, len(basis), rounds, len(gens), basis)
 
 
-def closure_general(n: int, generators: Sequence[PauliSum], tol: float = 1e-9) -> ClosureReport:
-    """Rank-tracked closure of Hermitian PauliSums under C = i*[G, V].
+def closure_general(n: int, generators: Iterable[PauliSum], tol: float = 1e-9) -> ClosureReport:
+    """Exact closure of Hermitian PauliSums under C = i*[G, V], by rank over F_p.
 
     Coordinates are the string closure of the generators' non-identity
-    words; a generator term c*W with W*U = i^e K, e odd, maps coordinate
-    U to 2(e-2)*c on K.  The identity direction is dropped: brackets never
-    produce it.  Each new basis vector is bracketed with every generator
-    in one block, projected once onto the orthonormal basis as it stands;
-    a bracket with residual norm at most tol is dropped, as a larger span
-    could only shrink it.  The rest, in generator order, are projected
-    out of the current basis twice and kept when their residual norm
-    exceeds tol, an absolute threshold.
-    The index counts against MAX_CLOSURE_DIMENSION, so a job whose word
-    closure passes it raises ResourceLimitError however small its span.
-    A span larger than the index can only come from rounding error
-    passing tol, and raises ValueError.
+    words (it counts against MAX_CLOSURE_DIMENSION); a term c*W with
+    W*U = i^e K, e odd, maps coordinate U to 2(e-2)*c on K.  A float is a
+    dyadic rational, so c maps into F_p, p = 2^61 - 1, by its integer
+    ratio.  Each frontier vector, as it was added, is bracketed with every
+    generator, and a bracket is kept unless the fully reduced basis
+    {pivot: row} reduces it to zero.  The dimension is the rank mod p of
+    the rational brackets: never above their rational dimension, and equal
+    to it unless p divides certain minors.  No scale and no tol enters;
+    tol is only checked (positive and finite).
     """
-    # numpy is imported here, not at module level: the string closure and
-    # the CLI commands built on it run without it.
-    import numpy as np
+    from .operators import PauliSum  # here: closure_strings runs without operators
 
     n = _qubits(n)
     _check_tolerance(tol, "tol")
+    if isinstance(generators, str):
+        raise ValueError(f"generators must be a collection of PauliSums, not the str {generators!r}")
+    generators = list(generators)
     if not generators:
         raise ValueError("generator set must be nonempty")
     for g in generators:
+        if not isinstance(g, PauliSum):
+            raise ValueError(f"generator {g!r} is not a PauliSum")
         if g.n != n:
             raise ValueError(f"generator acts on {g.n} qubits, expected {n}")
         if not g:
@@ -240,63 +234,69 @@ def closure_general(n: int, generators: Sequence[PauliSum], tol: float = 1e-9) -
         if not g.is_hermitian:
             raise ValueError("closure generators must be Hermitian (real coefficients)")
 
-    terms = [[(k, c.real) for k, c in sorted(g.traceless().bit_items())] for g in generators]
-    words = sorted({k for t in terms for k, _ in t})
+    p = _PRIME
+    terms = [[(k, num * pow(den, -1, p) % p) for k, c in g.traceless().bit_items()
+              for num, den in [c.real.as_integer_ratio()]] for g in generators]
+    owners = {}  # (generator, residue) of each term word
+    for g, t in enumerate(terms):
+        for w, c in t:
+            owners.setdefault(w, []).append((g, c))
+    words = sorted(owners)
     known, _ = _word_closure(n, words)
-    columns = sorted((code_to_bits(code), mask) for code, mask in known.items())
-    index = {u: col for col, (u, _) in enumerate(columns)}
-    size = len(index)
-    # The index columns each term word anticommutes with, in column order.
-    partners = {w: [] for w in words}
-    for col, (u, mask) in enumerate(columns):
+    # Each index word's brackets with the terms its mask names: (generator, code, coefficient).
+    action = {}
+    for code, mask in known.items():
+        u, action[code] = code_to_bits(code), []
         while mask:
             low = mask & -mask
             mask ^= low
-            partners[words[low.bit_length() - 1]].append((col, u))
-    # All generator actions as one sparse map, generator g's rows offset by g * size.
-    entries = [(g * size + index[k], col, 2 * (e - 2) * c) for g, t in enumerate(terms)
-               for w, c in t for col, u in partners[w] for e, k in [bits_product(w, u)]]
-    rows, cols, vals = np.array(entries).reshape(-1, 3).T
-    rows, cols = rows.astype(np.intp), cols.astype(np.intp)
+            w = words[low.bit_length() - 1]
+            e, k = bits_product(w, u)
+            action[code] += [(g, word_code(*k), 2 * (e - 2) * c % p) for g, c in owners[w]]
 
-    basis = np.empty((1, size))
-    dim = 0
+    basis = {}  # pivot code -> row: 1 at its pivot, 0 at every other pivot
+    held = set()  # every code a row holds off its pivot, perhaps more
+    new = []
 
-    def try_add(v: np.ndarray) -> None:
-        nonlocal basis, dim
-        q = basis[:dim]
-        for _ in range(2):
-            v = v - (q @ v) @ q
-        nrm = np.sqrt(v @ v)
-        if nrm > tol:
-            if dim == size:
-                raise ValueError(f"closure at n={n} exceeds its {size}-word index: rounding "
-                                 f"error passed tol={tol:g}; retry with a larger tol")
-            if dim == len(basis):
-                basis = np.concatenate([basis, np.empty_like(basis)])
-            basis[dim] = v / nrm
-            dim += 1
+    def add(v: dict) -> None:
+        r = dict(v)
+        for col, x in v.items():  # a row holds no other pivot: one pass reduces v
+            for k, y in basis.get(col, {}).items():
+                r[k] = (r.get(k, 0) - x * y) % p
+        r = {k: y for k, y in r.items() if y}
+        if r:
+            q = next(iter(r))
+            inv = pow(r[q], -1, p)
+            r = {k: y * inv % p for k, y in r.items()}
+            for piv, row in basis.items() if q in held else ():
+                x = row.get(q)
+                if x:
+                    for k, y in r.items():
+                        row[k] = (row.get(k, 0) - x * y) % p
+                    basis[piv] = {k: y for k, y in row.items() if y}
+            held.update(r)
+            held.discard(q)
+            basis[q] = r
+            new.append(dict(r))  # a copy: later pivots reduce the rows, never the frontier
 
     for t in terms:
-        v = np.zeros(size)
-        for w, c in t:
-            v[index[w]] = c
-        try_add(v)
-
-    start = rounds = 0
-    while start < dim:
+        add({word_code(*k): c for k, c in t})
+    rounds = 0
+    while new:
         rounds += 1
-        frontier, start = basis[start:dim], dim
+        frontier, new = new, []
         for v in frontier:
-            block = np.bincount(rows, weights=vals * v[cols], minlength=len(terms) * size)
-            block = block.reshape(len(terms), size)
-            block = block[block.any(axis=1)]  # a generator commuting with v brackets to 0
-            q = basis[:dim]
-            rest = block - (block @ q.T) @ q
-            for bracket in block[np.linalg.norm(rest, axis=1) > tol]:
-                try_add(bracket)
+            if len(basis) == len(known):  # the span fills the index: nothing more is added
+                break
+            brackets = {}
+            for col, x in v.items():
+                for g, k, a in action[col]:
+                    b = brackets.setdefault(g, {})
+                    b[k] = b.get(k, 0) + a * x
+            for b in brackets.values():
+                add({k: y % p for k, y in b.items()})
 
-    return _report(n, dim, rounds, len(generators))
+    return _report(n, len(basis), rounds, len(generators))
 
 
 def check_universality(n: int, generators: Iterable[str]) -> UniversalityResult:

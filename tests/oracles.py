@@ -7,11 +7,14 @@ builders, so agreement between the two is a real cross-check and not a
 tautology.  The exceptions are earlier engines kept as references for
 the ones in the package: closure_general_gram_schmidt brackets with
 PauliSum arithmetic and does its Gram-Schmidt on coefficient dicts
-instead of numpy rows over a word index, verify_car_all_pairs builds
-every ordered-pair anticommutator as a PauliSum, and
+instead of numpy rows over a word index, closure_general_float is the
+numpy float engine closure_general had before its rank went over F_p,
+on the package's word index, verify_car_all_pairs builds every
+ordered-pair anticommutator as a PauliSum, and
 word_closure_anticommuting_generators is the package's word loop before
 it skipped the products another pair reaches, on the package's word
-codes and masks.
+codes and masks.  closure_general_fraction is no exception: it brackets
+word strings letter by letter, in exact rationals.
 """
 
 import itertools
@@ -27,7 +30,15 @@ from spinchain import (
     classify_dimension,
     majorana,
 )
-from spinchain.pauli import anticommutation_masks, word_code
+from spinchain.closure import _report, _word_closure
+from spinchain.pauli import (
+    _check_tolerance,
+    _qubits,
+    anticommutation_masks,
+    bits_product,
+    code_to_bits,
+    word_code,
+)
 
 SIGMA = {
     "I": np.eye(2, dtype=complex),
@@ -363,6 +374,167 @@ def closure_general_gram_schmidt(n, generators, tol=1e-9):
         frontier = basis[start:]
 
     dim = len(basis)
+    return ClosureReport(n, dim, classify_dimension(n, dim), rounds, dim * len(generators))
+
+
+def closure_general_float(n, generators, tol=1e-9):
+    """Rank-tracked closure of Hermitian PauliSums under C = i*[G, V], in floats.
+
+    The engine spinchain.closure_general replaced, kept as its reference.
+
+    Coordinates are the string closure of the generators' non-identity
+    words; a generator term c*W with W*U = i^e K, e odd, maps coordinate
+    U to 2(e-2)*c on K.  The identity direction is dropped: brackets never
+    produce it.  Each new basis vector is bracketed with every generator
+    in one block, projected once onto the orthonormal basis as it stands;
+    a bracket with residual norm at most tol is dropped, as a larger span
+    could only shrink it.  The rest, in generator order, are projected
+    out of the current basis twice and kept when their residual norm
+    exceeds tol, an absolute threshold.
+    The index counts against MAX_CLOSURE_DIMENSION, so a job whose word
+    closure passes it raises ResourceLimitError however small its span.
+    A span larger than the index can only come from rounding error
+    passing tol, and raises ValueError.
+    """
+    n = _qubits(n)
+    _check_tolerance(tol, "tol")
+    if not generators:
+        raise ValueError("generator set must be nonempty")
+    for g in generators:
+        if g.n != n:
+            raise ValueError(f"generator acts on {g.n} qubits, expected {n}")
+        if not g:
+            raise ValueError("generators must be nonzero")
+        if not g.is_hermitian:
+            raise ValueError("closure generators must be Hermitian (real coefficients)")
+
+    terms = [[(k, c.real) for k, c in sorted(g.traceless().bit_items())] for g in generators]
+    words = sorted({k for t in terms for k, _ in t})
+    known, _ = _word_closure(n, words)
+    columns = sorted((code_to_bits(code), mask) for code, mask in known.items())
+    index = {u: col for col, (u, _) in enumerate(columns)}
+    size = len(index)
+    # The index columns each term word anticommutes with, in column order.
+    partners = {w: [] for w in words}
+    for col, (u, mask) in enumerate(columns):
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            partners[words[low.bit_length() - 1]].append((col, u))
+    # All generator actions as one sparse map, generator g's rows offset by g * size.
+    entries = [(g * size + index[k], col, 2 * (e - 2) * c) for g, t in enumerate(terms)
+               for w, c in t for col, u in partners[w] for e, k in [bits_product(w, u)]]
+    rows, cols, vals = np.array(entries).reshape(-1, 3).T
+    rows, cols = rows.astype(np.intp), cols.astype(np.intp)
+
+    basis = np.empty((1, size))
+    dim = 0
+
+    def try_add(v: np.ndarray) -> None:
+        nonlocal basis, dim
+        q = basis[:dim]
+        for _ in range(2):
+            v = v - (q @ v) @ q
+        nrm = np.sqrt(v @ v)
+        if nrm > tol:
+            if dim == size:
+                raise ValueError(f"closure at n={n} exceeds its {size}-word index: rounding "
+                                 f"error passed tol={tol:g}; retry with a larger tol")
+            if dim == len(basis):
+                basis = np.concatenate([basis, np.empty_like(basis)])
+            basis[dim] = v / nrm
+            dim += 1
+
+    for t in terms:
+        v = np.zeros(size)
+        for w, c in t:
+            v[index[w]] = c
+        try_add(v)
+
+    start = rounds = 0
+    while start < dim:
+        rounds += 1
+        frontier, start = basis[start:dim], dim
+        for v in frontier:
+            block = np.bincount(rows, weights=vals * v[cols], minlength=len(terms) * size)
+            block = block.reshape(len(terms), size)
+            block = block[block.any(axis=1)]  # a generator commuting with v brackets to 0
+            q = basis[:dim]
+            rest = block - (block @ q.T) @ q
+            for bracket in block[np.linalg.norm(rest, axis=1) > tol]:
+                try_add(bracket)
+
+    return _report(n, dim, rounds, len(generators))
+
+
+def closure_general_fraction(n, generators):
+    """Exact closure of Hermitian PauliSums under C = i*[G, V], over the rationals.
+
+    The same frontier as spinchain.closure_general, in exact arithmetic:
+    each float coefficient is read as a Fraction, a bracket i*[c W, d U]
+    with W U = i^e K is -2cd K for e = 1, 2cd K for e = 3 and 0 for even
+    e, taken term by term on word strings with letter_product, and the
+    basis is a list of rows in insertion order, each reduced against the
+    rows before it.  Rows are primitive integer vectors (a rational vector
+    scaled by the lcm of its denominators and divided by the gcd of its
+    entries), which keeps the entries from growing.  A candidate is
+    reduced by every row in that order and kept, as it was found, unless
+    it reduces to zero; once the rows span all 4^n - 1 traceless directions,
+    none is.  No word index, prime or tolerance; slow past n = 3.
+    """
+    from fractions import Fraction
+
+    def primitive(v):
+        scale = math.lcm(*(c.denominator for c in v.values()))
+        ints = {w: int(c * scale) for w, c in v.items()}
+        common = 0
+        for c in ints.values():
+            common = math.gcd(common, c)
+            if common == 1:
+                return ints
+        return {w: c // common for w, c in ints.items()}
+
+    identity = "I" * n
+    gens = [{w: Fraction(c.real) for w, c in g.items() if w != identity} for g in generators]
+    rows = []  # (pivot word, primitive integer row)
+
+    def try_add(v):
+        if len(rows) == 4**n - 1:  # every traceless direction: nothing can be added
+            return
+        r = {w: c for w, c in v.items() if c}
+        r = primitive(r) if r else r
+        for pivot, row in rows:
+            x = r.get(pivot)
+            if x:
+                head = row[pivot]
+                r = {w: head * c for w, c in r.items()}
+                for w, y in row.items():
+                    r[w] = r.get(w, 0) - x * y
+                r = {w: c for w, c in r.items() if c}
+                if not r:
+                    return
+                r = primitive(r)
+        if r:
+            rows.append((min(r), r))
+            new.append(v)
+
+    new = []
+    for g in gens:
+        try_add(g)
+    rounds = 0
+    while new:
+        rounds += 1
+        frontier, new = new, []
+        for v in frontier:
+            for g in gens:
+                bracket = {}
+                for w, c in g.items():
+                    for u, d in v.items():
+                        e, k = letter_product(w, u)
+                        if e & 1:
+                            bracket[k] = bracket.get(k, 0) + (e - 2) * 2 * c * d
+                try_add(bracket)
+    dim = len(rows)
     return ClosureReport(n, dim, classify_dimension(n, dim), rounds, dim * len(generators))
 
 

@@ -1,6 +1,7 @@
-"""Tests for the string and rank-tracked Lie-closure engines."""
+"""Tests for the string and the exact general Lie-closure engines."""
 
 import random
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,8 @@ from spinchain import closure as closure_mod
 from spinchain.pauli import words_to_bits
 
 from oracles import (
+    closure_general_float,
+    closure_general_fraction,
     closure_general_gram_schmidt,
     closure_strings_all_pairs,
     dense_lie_rank,
@@ -381,12 +384,47 @@ def test_ill_conditioned_general_closure_is_su_at_every_tol(tol):
     assert report.dimension == 4**3 - 1
 
 
-def test_general_closure_tol_is_absolute():
-    # Scaling the generators by 1e9 scales every residual, rounding error included.
+def test_general_closure_ignores_scale_and_tol():
+    # The float engine's absolute tol let rounding error grow this set past its index.
     gens = [PauliSum(3, {w: 1e9 * c for w, c in terms.items()}) for terms in ILL_CONDITIONED]
-    with pytest.raises(ValueError, match="63-word index.*tol="):
-        closure_general(3, gens)
+    assert closure_general(3, gens).dimension == 4**3 - 1
     assert closure_general(3, gens, tol=1.0).dimension == 4**3 - 1
+
+
+# An n = 3 pair of exact dimension 30 in 8 rounds; the float engine read 62
+# in 11 rounds at scale 1, 63 at 1e8 and 15 at 1e-8.
+SCALE_SENSITIVE = (
+    {"IIX": -0.617387737677737, "IIZ": 0.12345877331295241, "IZY": 0.22505576868892074,
+     "XYZ": 0.016312309105477096},
+    {"XYI": 0.7940528657575336, "XYX": 0.6799995667864116, "XZI": -0.21527124282541754,
+     "YIX": -0.1433226455283052},
+)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e-8])
+def test_general_closure_is_exact_at_every_scale(scale):
+    gens = [PauliSum(3, {w: scale * c for w, c in terms.items()}) for terms in SCALE_SENSITIVE]
+    report = closure_general(3, gens)
+    assert (report.dimension, report.rounds) == (30, 8)
+    reference = closure_general_fraction(3, gens)
+    assert (reference.dimension, reference.rounds) == (30, 8)
+
+
+def test_general_closure_of_huge_coefficients_does_not_overflow():
+    # The float engine's squared norms overflowed to inf here and it read 2.
+    gens = [PauliSum(2, {"XI": 1e300}), PauliSum(2, {"ZI": 1e300})]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = closure_general(2, gens)
+    assert (report.dimension, report.rounds) == (3, 2)
+
+
+def test_general_closure_is_the_same_at_every_power_of_two():
+    # Scales from 2^-39, just above PRUNE_TOLERANCE, to the largest float's 2^1023.
+    expected = closure_general(2, [PauliSum(2, {"XI": 1.0}), PauliSum(2, {"ZI": 1.0})])
+    for k in range(-39, 1024):
+        gens = [PauliSum(2, {"XI": 2.0**k}), PauliSum(2, {"ZI": 2.0**k})]
+        assert closure_general(2, gens) == expected, k
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 10, 12, 16])
@@ -437,8 +475,8 @@ def hermitian_sums(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(hermitian_sums())
-# Ill-conditioned: Gram-Schmidt in PauliSum arithmetic, which prunes every
-# step at PRUNE_TOLERANCE, reads 127; the rank modulo two large primes is 126.
+# Ill-conditioned for the float engines; the Gram-Schmidt oracle, F_p for
+# p = 2^61 - 1 and p = 2^31 - 1 all read 126 in 8 rounds.
 @example((4, [PauliSum(4, {"XYZI": -2.0, "YIIZ": -2.0, "YXXY": -2.0}),
               PauliSum(4, {"XIYI": -0.5, "XXIX": -0.5, "YYIY": -0.5, "ZYIZ": -2.0}),
               PauliSum(4, {"XXIX": -2.0, "YXZY": -0.5, "ZYIY": -1.0})]))
@@ -451,6 +489,56 @@ def test_general_closure_matches_gram_schmidt_oracle(case):
     if n <= 3:
         mats = [dense_of_terms(n, g.items()) for g in gens]
         assert report.dimension == dense_lie_rank(mats)
+
+
+@st.composite
+def float_sums(draw):
+    n = draw(st.integers(1, 3))
+    word = st.text("IXYZ", min_size=n, max_size=n)
+    # Any 53-bit mantissa, at magnitudes from 2^-20 to 2^20.  Wider spreads
+    # within one set make the Fraction rows' integers grow to millions of
+    # bits; the F_p engine's independence of scale is tested above, to 2^1023.
+    coeff = st.floats(-2.0**20, 2.0**20).filter(lambda c: abs(c) >= 2.0**-20)
+    terms = st.dictionaries(word, coeff, min_size=1, max_size=4)
+    return n, [PauliSum(n, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(float_sums())
+def test_general_closure_matches_the_fraction_closure(case):
+    n, gens = case
+    report = closure_general(n, gens)
+    reference = closure_general_fraction(n, gens)
+    assert (report.dimension, report.rounds) == (reference.dimension, reference.rounds)
+
+
+EXACT_CASES = {
+    "scale-sensitive": (3, SCALE_SENSITIVE),
+    "scale-sensitive 1e8": (3, [{w: 1e8 * c for w, c in t.items()} for t in SCALE_SENSITIVE]),
+    "ill-conditioned": (3, ILL_CONDITIONED),
+    "ill-conditioned 1e9": (3, [{w: 1e9 * c for w, c in t.items()} for t in ILL_CONDITIONED]),
+    "pinned n = 4": (4, [{"XYZI": -2.0, "YIIZ": -2.0, "YXXY": -2.0},
+                         {"XIYI": -0.5, "XXIX": -0.5, "YYIY": -0.5, "ZYIZ": -2.0},
+                         {"XXIX": -2.0, "YXZY": -0.5, "ZYIY": -1.0}]),
+    "bilinears n = 5": (5, [dict(g.items()) for g in relabelled_bilinears(5, 1)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_general_closure_is_the_same_modulo_a_smaller_prime(monkeypatch, case):
+    n, terms = EXACT_CASES[case]
+    gens = [PauliSum(n, t) for t in terms]
+    expected = closure_general(n, gens)
+    monkeypatch.setattr(closure_mod, "_PRIME", 2**31 - 1)
+    assert closure_general(n, gens) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_general_closure_matches_the_float_engine_where_its_tol_holds(n):
+    # Relabelled bilinears and bus words, on which rounding error stays far below tol.
+    words = [PauliSum(n, {w: 1.0}) for w in bus_words(n, ["I", "II", "III"])]
+    for gens in (relabelled_bilinears(n, n), words):
+        assert closure_general(n, gens) == closure_general_float(n, gens)
 
 
 class TestClosureBudget:

@@ -6,13 +6,13 @@ dataclasses or inspect.
 Each public name is imported from its layer on its first read.  A layer
 read from the package is registered to execute on its first attribute
 read; `cli` imports every layer that way.  numpy is imported by `dense`
-and inside `closure_general` only.  A `schedule` of frame bilinears is
-read in the rotation picture (`frame`) and starts without numpy too; any
-other schedule is composed by `dense`.  The library values are no
-dataclasses; only the closure and CAR reports are, so only `closure` and
-`operators` import dataclasses (and with it inspect).  pytest has
-imported the package and numpy already, so each guard runs in a fresh
-interpreter.
+only: `closure_general` computes an exact rank over F_p.  A `schedule`
+of frame bilinears is read in the rotation picture (`frame`) and starts
+without numpy too; any other schedule is composed by `dense`.  The
+library values are no dataclasses; only the closure and CAR reports
+are, so only `closure` and `operators` import dataclasses (and with it
+inspect).  pytest has imported the package and numpy already, so each
+guard runs in a fresh interpreter.
 """
 
 import json
@@ -83,6 +83,18 @@ def fresh(code, *argv):
 ])
 def test_algebra_commands_do_not_import_numpy(argv, code):
     assert fresh(CLI_PROBE, *argv)[:2] == [str(code), "False"]
+
+
+def test_general_closure_does_not_import_numpy():
+    probe = """
+import sys
+import spinchain
+gens = [spinchain.bilinear(4, j, k, kind) for j in range(4) for k in range(j, 4)
+        for kind in ("hopping", "pairing") if j < k or kind == "hopping"]
+report = spinchain.closure_general(4, gens)
+print(report.dimension, report.label, "numpy" in sys.modules)
+"""
+    assert fresh(probe) == ["28", "so(2n)", "False"]
 
 
 def test_schedule_imports_numpy():

@@ -192,17 +192,31 @@ def test_non_hermitian_word_fails_alike_on_both_paths(n, pulses):
     (lambda: word_product("X", "XY"), ValueError, "word lengths differ: 1 vs 2"),
     (lambda: closure_general(3, [PauliSum(2, {"XY": 1.0})]), ValueError,
      "generator acts on 2 qubits, expected 3"),
+    (lambda: closure_general(2, "XY"), ValueError,
+     "a collection of PauliSums, not the str 'XY'"),
+    (lambda: closure_general(2, [PauliString("XY")]), ValueError,
+     re.escape("generator PauliString('XY') is not a PauliSum")),
+    (lambda: closure_general(2, [PauliSum(2, {"XY": 1.0}), "ZI"]), ValueError,
+     "generator 'ZI' is not a PauliSum"),
     (lambda: random_schedule(2, [], 3, 1), ValueError, "no generators to draw from"),
     (lambda: to_matrix(3.5), TypeError, "cannot build a matrix from float"),
     (lambda: PauliSum(2, {"XY": 1.0}) + 1, TypeError, "unsupported operand"),
     (lambda: PauliSum(2, {"XY": 1.0}) - 1, TypeError, "unsupported operand"),
     (lambda: PauliSum(2, {"XY": 1.0}) @ 1, TypeError, "unsupported operand"),
 ], ids=["unknown kind", "missing index", "raw length", "closure word length",
-        "product word lengths", "closure generator n", "no buses", "matrix of a float",
+        "product word lengths", "closure generator n", "closure generators as a str",
+        "closure generator a word", "closure generator a str", "no buses", "matrix of a float",
         "sum plus int", "sum minus int", "sum times int"])
 def test_each_remaining_rule_refuses_its_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_closure_general_reads_a_generator_expression_once():
+    words = ("XI", "ZI", "IX")
+    report = closure_general(2, (PauliSum(2, {w: 1.0}) for w in words))
+    assert report == closure_general(2, [PauliSum(2, {w: 1.0}) for w in words])
+    assert (report.dimension, report.pairs_processed) == (4, 12)
 
 
 # One rule for a list of words: every word a str, checked before the list is sorted.
